@@ -1,8 +1,8 @@
-"""Grid-accelerated neighborhood queries and cell-average subsampling.
+"""KD-tree neighborhood queries and cell-average subsampling.
 
 Both query styles return the same ragged structure: ball query gives all
-points within a radius, kNN gives a fixed count. A uniform hash grid makes
-them fast; results match a brute-force scan exactly.
+points within a radius, kNN gives a fixed count. A KD-tree makes them
+fast; results match a brute-force scan exactly.
 """
 
 import numpy as np

@@ -26,7 +26,7 @@ from .embeddings import (
     init_mlp_embedding,
 )
 from .errors import ConfigError
-from .geometry import ball_query, cell_average_subsample, farthest_distance_stats, knn
+from .geometry import ball_query, cell_average_subsample, farthest_distances, knn
 from .network import (
     ClassificationNetwork,
     EmbeddingSpec,
@@ -315,18 +315,13 @@ def pyramid_neighbor_stats(clouds, initial_cell, num_levels, method, k=16, scale
             cell = initial_cell * 2.0**lvl
             cur, _ = cell_average_subsample(cur, cell)
             if method == "knn":
-                nl = knn(cur, cur, min(k, len(cur)), grid_cell=cell)
+                nl = knn(cur, cur, k)
             else:
                 nl = ball_query(cur, cur, scale * cell)
-            for i in range(nl.num_queries):
-                idx = nl.neighbors(i)
-                if len(idx) == 0:
-                    continue
-                d = np.linalg.norm(cur.positions[idx] - cur.positions[i], axis=1)
-                per_level[lvl].append(d.max() / cell)
+            per_level[lvl].append(farthest_distances(nl, cur, cur) / cell)
     stats = []
     for lvl, vals in enumerate(per_level):
-        vals = np.asarray(vals)
+        vals = np.concatenate(vals)
         stats.append((lvl, float(vals.mean()), float(vals.var())))
     return stats
 

@@ -1,5 +1,5 @@
-"""Point-cloud container, cell-average subsampling, grid-accelerated
-neighborhood queries (kNN and ball query) and receptive-field statistics.
+"""Point-cloud container, cell-average subsampling, KD-tree neighborhood
+queries (kNN and ball query) and receptive-field statistics.
 
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
@@ -8,10 +8,12 @@ Conventions that tests rely on:
   * a query point contained in the support cloud is its own neighbor.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ShapeError, StatisticsError
 
@@ -90,42 +92,6 @@ class NeighborList:
         return np.repeat(np.arange(self.num_queries), self.counts)
 
 
-@dataclass
-class GridIndex:
-    """Uniform hash grid: integer cell coordinate -> point index array."""
-
-    cell_size: float
-    cells: dict = field(default_factory=dict)
-    cell_min: np.ndarray = None
-    cell_max: np.ndarray = None
-
-
-def _cell_coords(positions, cell_size):
-    return np.floor(positions / cell_size).astype(np.int64)
-
-
-def build_grid_index(cloud, cell_size):
-    """Index all points of `cloud` into a uniform grid."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    if len(cloud) == 0:
-        raise ValueError("cannot index an empty cloud")
-    coords = _cell_coords(cloud.positions, cell_size)
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-    sorted_coords = coords[order]
-    uniq, starts = np.unique(sorted_coords, axis=0, return_index=True)
-    cells = {}
-    bounds = np.append(starts, len(order))
-    for row, s, e in zip(uniq, bounds[:-1], bounds[1:]):
-        cells[tuple(row)] = np.sort(order[s:e])
-    return GridIndex(
-        cell_size=float(cell_size),
-        cells=cells,
-        cell_min=uniq.min(axis=0),
-        cell_max=uniq.max(axis=0),
-    )
-
-
 def cell_average_subsample(cloud, cell_size):
     """Replace the points of each non-empty cell by their centroid.
 
@@ -135,136 +101,110 @@ def cell_average_subsample(cloud, cell_size):
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    coords = _cell_coords(cloud.positions, cell_size)
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-    sorted_coords = coords[order]
-    uniq, starts = np.unique(sorted_coords, axis=0, return_index=True)
-    bounds = np.append(starts, len(order))
+    coords = np.floor(cloud.positions / cell_size).astype(np.int64)
+    _, inverse, counts = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (N, 1) when axis is set
 
-    parent_map = []
-    positions = np.empty((len(uniq), 3))
-    features = None
-    if cloud.features is not None:
-        features = np.empty((len(uniq), cloud.features.shape[1]))
+    def cell_mean(values):
+        # np.add.at accumulates in input order, so each centroid sums its
+        # members in ascending index order, as a per-cell mean would
+        sums = np.zeros((len(counts), values.shape[1]))
+        np.add.at(sums, inverse, values)
+        return sums / counts[:, None]
+
+    positions = cell_mean(cloud.positions)
+    features = cell_mean(cloud.features) if cloud.features is not None else None
     labels = None
     if cloud.labels is not None:
-        labels = np.empty(len(uniq), dtype=np.int64)
-
-    for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-        members = np.sort(order[s:e])
-        parent_map.append(members)
-        positions[i] = cloud.positions[members].mean(axis=0)
-        if features is not None:
-            features[i] = cloud.features[members].mean(axis=0)
-        if labels is not None:
-            labels[i] = np.bincount(cloud.labels[members]).argmax()
+        num_classes = int(cloud.labels.max(initial=0)) + 1
+        votes = np.bincount(inverse * num_classes + cloud.labels,
+                            minlength=len(counts) * num_classes)
+        labels = votes.reshape(len(counts), num_classes).argmax(axis=1)
+    members = np.argsort(inverse, kind="stable")
+    parent_map = np.split(members, np.cumsum(counts)[:-1]) if len(counts) else []
 
     out = PointCloud(positions, features=features, labels=labels, cell_size=float(cell_size))
     return out, parent_map
 
 
-def _default_grid_cell(support):
-    # Prefer the cloud's own subsampling cell; otherwise aim for a handful
-    # of points per cell from the bounding box.
-    if support.cell_size is not None:
-        return support.cell_size
-    span = support.positions.max(axis=0) - support.positions.min(axis=0)
-    extent = max(float(span.max()), 1e-12)
-    return extent / max(1.0, round(len(support) ** (1.0 / 3.0)))
+# Relative slack on candidate radii. The tree sums squared coordinate
+# differences in its own order, so its distance can sit a few ulp away from
+# the norm below, which makes every final decision. Both round the same
+# coordinate differences, so the gap is relative to the distance, not to
+# the coordinates, and stays so for clouds far from the origin.
+_SLACK = 1e-9
 
 
-def knn(query, support, k, grid_cell=None):
+def _pair_distances(query, support, qid, idx):
+    return np.linalg.norm(support.positions[idx] - query.positions[qid], axis=1)
+
+
+def _candidates(tree, query, support, radii):
+    """Support points the tree proposes within `radii` of each query.
+
+    Returns flat (query id, support index, distance) arrays ordered by query
+    id, then support index.
+    """
+    hits = tree.query_ball_point(query.positions, radii * (1.0 + _SLACK), return_sorted=True)
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    idx = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64,
+                      count=int(counts.sum()))
+    qid = np.repeat(np.arange(len(query)), counts)
+    return qid, idx, _pair_distances(query, support, qid, idx)
+
+
+def _neighbor_list(num_queries, qid, idx):
+    offsets = np.zeros(num_queries + 1, dtype=np.int64)
+    np.cumsum(np.bincount(qid, minlength=num_queries), out=offsets[1:])
+    return NeighborList(offsets, idx)
+
+
+def knn(query, support, k):
     """k nearest support points per query (ragged if support has < k points).
 
-    Grid-accelerated expanding-ring search. After rings 0..L around the
-    query cell are exhausted, any unseen point is at distance >= L * cell,
-    so the search stops once the k-th candidate distance is within that
-    bound.
+    A KD-tree gives each query's k-th distance; the tree then proposes every
+    support point within that distance, and the exact selection (ties ->
+    smallest index) is made on the re-measured candidates.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
-    cell = float(grid_cell) if grid_cell is not None else _default_grid_cell(support)
-    grid = build_grid_index(support, cell)
-    cell_coords = np.array(list(grid.cells.keys()), dtype=np.int64)
-    cell_points = list(grid.cells.values())
-
-    all_indices = []
-    offsets = np.zeros(len(query) + 1, dtype=np.int64)
-    pos = support.positions
-    for qi, q in enumerate(query.positions):
-        center = np.floor(q / cell).astype(np.int64)
-        # visit occupied cells ring by ring (Chebyshev distance order);
-        # after finishing ring L, any unseen point is at distance >= L * cell
-        cheb = np.abs(cell_coords - center).max(axis=1)
-        order = np.argsort(cheb, kind="stable")
-        cand = []
-        found = 0
-        ci = 0
-        while ci < len(order):
-            ring = cheb[order[ci]]
-            while ci < len(order) and cheb[order[ci]] == ring:
-                hit = cell_points[order[ci]]
-                cand.append(hit)
-                found += len(hit)
-                ci += 1
-            if found >= k:
-                idx = np.concatenate(cand)
-                d = np.linalg.norm(pos[idx] - q, axis=1)
-                kth = np.partition(d, k - 1)[k - 1]
-                # strict: a tied unseen point with a smaller index must win
-                if kth < ring * cell:
-                    break
-        idx = np.concatenate(cand)
-        d = np.linalg.norm(pos[idx] - q, axis=1)
-        take = min(k, len(idx))
-        # ties at the k-th distance break toward the smallest support index
-        sel = idx[np.lexsort((idx, d))[:take]]
-        sel.sort()
-        all_indices.append(sel)
-        offsets[qi + 1] = offsets[qi] + take
-    indices = np.concatenate(all_indices) if all_indices else np.empty(0, dtype=np.int64)
-    return NeighborList(offsets, indices)
+    take = min(k, len(support))
+    tree = cKDTree(support.positions)
+    kth = tree.query(query.positions, k=[take])[0][:, 0]
+    qid, idx, d = _candidates(tree, query, support, kth)
+    # ties at the k-th distance break toward the smallest support index;
+    # qid is sorted, so position i of `order` belongs to query qid[i]
+    order = np.lexsort((idx, d, qid))
+    counts = np.bincount(qid, minlength=len(query))
+    rank = np.arange(len(qid)) - (np.cumsum(counts) - counts)[qid]
+    # back in candidate order, which keeps each query's indices sorted
+    keep = np.sort(order[rank < take])
+    return _neighbor_list(len(query), qid[keep], idx[keep])
 
 
-def ball_query(query, support, radius, max_neighbors=None):
+def ball_query(query, support, radius):
     """All support points within `radius` (inclusive) of each query point.
 
-    If `max_neighbors` is set and exceeded, the closest are kept (ties ->
-    smallest index). Queries with no point in range get an empty range.
+    KD-tree candidates, kept where the exact distance is <= radius.
+    Queries with no point in range get an empty range.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
-    grid = build_grid_index(support, radius)
-    pos = support.positions
-    all_indices = []
-    offsets = np.zeros(len(query) + 1, dtype=np.int64)
-    for qi, q in enumerate(query.positions):
-        cx, cy, cz = np.floor(q / radius).astype(np.int64)
-        cand = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    hit = grid.cells.get((cx + dx, cy + dy, cz + dz))
-                    if hit is not None:
-                        cand.append(hit)
-        if cand:
-            idx = np.concatenate(cand)
-            d = np.linalg.norm(pos[idx] - q, axis=1)
-            inside = d <= radius
-            idx, d = idx[inside], d[inside]
-            if max_neighbors is not None and len(idx) > max_neighbors:
-                idx = idx[np.lexsort((idx, d))[:max_neighbors]]
-            sel = np.sort(idx)
-        else:
-            sel = np.empty(0, dtype=np.int64)
-        all_indices.append(sel)
-        offsets[qi + 1] = offsets[qi] + len(sel)
-    indices = np.concatenate(all_indices) if all_indices else np.empty(0, dtype=np.int64)
-    return NeighborList(offsets, indices)
+    qid, idx, d = _candidates(cKDTree(support.positions), query, support, radius)
+    inside = d <= radius
+    return _neighbor_list(len(query), qid[inside], idx[inside])
+
+
+def farthest_distances(neighbors, query, support):
+    """Distance from each query to its farthest neighbor, for every query
+    with at least one neighbor."""
+    d = _pair_distances(query, support, neighbors.query_ids(), neighbors.indices)
+    starts = neighbors.offsets[:-1][neighbors.counts > 0]
+    return np.maximum.reduceat(d, starts) if len(starts) else np.empty(0)
 
 
 def farthest_distance_stats(neighbors, query, support, cell_size):
@@ -272,14 +212,7 @@ def farthest_distance_stats(neighbors, query, support, cell_size):
     over all queries with at least one neighbor."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    vals = []
-    for i in range(neighbors.num_queries):
-        idx = neighbors.neighbors(i)
-        if len(idx) == 0:
-            continue
-        d = np.linalg.norm(support.positions[idx] - query.positions[i], axis=1)
-        vals.append(d.max() / cell_size)
-    if not vals:
+    vals = farthest_distances(neighbors, query, support) / cell_size
+    if not len(vals):
         raise StatisticsError("all neighborhoods are empty")
-    vals = np.asarray(vals)
     return float(vals.mean()), float(vals.var())

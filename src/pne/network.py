@@ -375,7 +375,7 @@ class Encoder(Module):
         nb = self.config.neighborhood
         if nb.kind == "ball_query":
             return ball_query(query, support, nb.scale * self.config.level_cell(level))
-        return knn(query, support, nb.k, grid_cell=self.config.level_cell(level))
+        return knn(query, support, nb.k)
 
     def prepare(self, cloud, initial_features=None, for_decoder=False):
         """Build the pyramid and every neighbor site this network will use."""

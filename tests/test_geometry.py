@@ -6,7 +6,6 @@ from pne.geometry import (
     NeighborList,
     PointCloud,
     ball_query,
-    build_grid_index,
     cell_average_subsample,
     farthest_distance_stats,
     knn,
@@ -55,24 +54,6 @@ def test_neighborlist_validation():
         NeighborList(np.array([0, 2, 1]), np.array([0, 1]))
     with pytest.raises(ShapeError):
         NeighborList(np.array([0, 3]), np.array([0, 1]))
-
-
-def test_grid_index_single_point():
-    grid = build_grid_index(PointCloud(np.array([[0.2, 0.2, 0.2]])), 1.0)
-    assert list(grid.cells) == [(0, 0, 0)]
-    assert grid.cells[(0, 0, 0)].tolist() == [0]
-
-
-def test_grid_index_cell_split():
-    grid = build_grid_index(PointCloud(np.array([[0.9, 0, 0], [1.1, 0, 0]])), 1.0)
-    assert set(grid.cells) == {(0, 0, 0), (1, 0, 0)}
-
-
-def test_grid_index_errors():
-    with pytest.raises(ValueError):
-        build_grid_index(PointCloud(np.zeros((1, 3))), 0.0)
-    with pytest.raises(ValueError):
-        build_grid_index(PointCloud(np.zeros((0, 3))), 1.0)
 
 
 def test_subsample_centroid():
@@ -136,7 +117,7 @@ def test_knn_ragged_when_support_small():
 def test_knn_tie_break_smallest_index():
     support = PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1.0, 0]]))
     query = PointCloud(np.array([[0.0, 0, 0]]))
-    nl = knn(query, support, 2, grid_cell=0.5)
+    nl = knn(query, support, 2)
     # all three at distance 1; ties break toward smallest support index
     assert nl.neighbors(0).tolist() == [0, 1]
 
@@ -169,43 +150,74 @@ def test_ball_query_empty_range():
     assert nl.counts.tolist() == [0]
 
 
-def test_ball_query_max_neighbors():
-    support = PointCloud(np.array([[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]]))
-    query = PointCloud(np.array([[0.0, 0, 0]]))
-    nl = ball_query(query, support, 1.0, max_neighbors=2)
-    assert nl.neighbors(0).tolist() == [0, 1]
+def lattice(n, spacing):
+    """n^3 grid points: many pairs at exactly equal distances."""
+    axis = np.arange(n) * spacing
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
 
 
-@pytest.mark.parametrize("cross", [False, True])
-def test_knn_matches_bruteforce(cross):
+ADVERSARIAL = ["lattice", "duplicates", "k_over_n", "offset_1e6", "empty_ball"]
+
+
+def clouds(case, rng):
+    """Seeded (query, support) pairs: random clouds (case False: self query,
+    True: cross query) or inputs on the margins of a neighbor search."""
+    if case == "lattice":
+        # the radii and k in the tests below fall exactly on lattice shells
+        support = PointCloud(lattice(5, 0.25))
+        yield support, support
+        yield PointCloud(lattice(3, 0.25) + 0.125), support
+    elif case == "duplicates":
+        base = rng.uniform(-1, 1, size=(30, 3))
+        support = PointCloud(np.concatenate([base, base[:10], base[:10]])[rng.permutation(50)])
+        yield support, support
+        yield PointCloud(base[:7]), support
+    elif case == "k_over_n":
+        support = PointCloud(rng.uniform(-1, 1, size=(4, 3)))
+        yield support, support
+        yield PointCloud(rng.uniform(-1, 1, size=(6, 3))), support
+    elif case == "offset_1e6":
+        jitter = rng.normal(scale=1e-3, size=(64, 3)) * (rng.random((64, 1)) < 0.5)
+        support = PointCloud(lattice(4, 0.1) + jitter + 1e6)
+        yield support, support
+        yield PointCloud(rng.uniform(0, 0.3, size=(20, 3)) + 1e6), support
+    elif case == "empty_ball":
+        support = PointCloud(rng.uniform(-1, 1, size=(40, 3)))
+        yield PointCloud(np.concatenate([rng.uniform(-1, 1, size=(5, 3)),
+                                         rng.uniform(-1, 1, size=(5, 3)) + [50.0, 0, 0]])), support
+    else:
+        for trial in range(20):
+            n = int(rng.integers(5, 200))
+            support = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
+            query = PointCloud(rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 50)), 3))) if case else support
+            yield query, support
+
+
+@pytest.mark.parametrize("case", [False, True, *ADVERSARIAL])
+def test_knn_matches_bruteforce(case):
     rng = np.random.default_rng(3)
-    for trial in range(20):
-        n = int(rng.integers(5, 200))
-        support = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
-        query = PointCloud(rng.uniform(-1, 1, size=(int(rng.integers(1, 50)), 3))) if cross else support
-        k = int(rng.integers(1, 12))
-        nl = knn(query, support, k, grid_cell=float(rng.uniform(0.05, 0.8)))
-        expected = brute_knn(query, support, k)
-        assert as_lists(nl) == [e.tolist() for e in expected]
+    for query, support in clouds(case, rng):
+        for k in (int(rng.integers(1, 12)), 7, 19, 27, len(support) + 1):
+            nl = knn(query, support, k)
+            expected = brute_knn(query, support, k)
+            assert as_lists(nl) == [e.tolist() for e in expected]
 
 
-@pytest.mark.parametrize("cross", [False, True])
-def test_ball_query_matches_bruteforce(cross):
+@pytest.mark.parametrize("case", [False, True, *ADVERSARIAL])
+def test_ball_query_matches_bruteforce(case):
     rng = np.random.default_rng(4)
-    for trial in range(20):
-        n = int(rng.integers(5, 200))
-        support = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
-        query = PointCloud(rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 50)), 3))) if cross else support
-        r = float(rng.uniform(0.1, 1.0))
-        nl = ball_query(query, support, r)
-        expected = brute_ball(query, support, r)
-        assert as_lists(nl) == [e.tolist() for e in expected]
+    shells = (0.1, 0.2, 0.25, float(np.linalg.norm([0.25, 0.25, 0])), 0.5)
+    for query, support in clouds(case, rng):
+        for r in (float(rng.uniform(0.1, 1.0)), *shells):
+            nl = ball_query(query, support, r)
+            expected = brute_ball(query, support, r)
+            assert as_lists(nl) == [e.tolist() for e in expected]
 
 
 def test_knn_far_outside_grid():
     support = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0.1], [0.2, 0.1, 0]]))
     query = PointCloud(np.array([[25.0, 25.0, 25.0]]))
-    nl = knn(query, support, 2, grid_cell=0.1)
+    nl = knn(query, support, 2)
     assert as_lists(nl) == [e.tolist() for e in brute_knn(query, support, 2)]
 
 
