@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import numerics
-from .datagen import make_classification_dataset, make_segmentation_dataset
+from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
 from .embeddings import (
     IdentityEmbedding,
     KernelPointEmbedding,
@@ -119,13 +119,14 @@ def prepare_dataset(model, samples, segmentation):
     return preps
 
 
-def _build_model(cfg, emb_name, neigh_name, seed, num_classes=4):
+def _build_model(cfg, emb_name, neigh_name, seed):
+    """Both synthetic datasets label points and clouds by SHAPE_KINDS index."""
     spec = embedding_spec_from_name(emb_name, cfg)
     nspec = neighborhood_spec_from_name(neigh_name, cfg)
     enc_cfg = encoder_config(cfg, spec, nspec)
     if cfg.task == "segmentation":
-        return SegmentationNetwork(enc_cfg, num_classes, seed=seed)
-    return ClassificationNetwork(enc_cfg, num_classes, seed=seed)
+        return SegmentationNetwork(enc_cfg, len(SHAPE_KINDS), seed=seed)
+    return ClassificationNetwork(enc_cfg, len(SHAPE_KINDS), seed=seed)
 
 
 def run_cell(cfg, emb_name, neigh_name, seed, datasets=None, preps=None):
@@ -140,7 +141,7 @@ def run_cell(cfg, emb_name, neigh_name, seed, datasets=None, preps=None):
     else:
         train, test = preps
     _, log = train_loop(
-        model, train, test, train_config(cfg), num_classes=4, seed=seed,
+        model, train, test, train_config(cfg), num_classes=len(SHAPE_KINDS), seed=seed,
         segmentation=segmentation,
     )
     final = log[-1]

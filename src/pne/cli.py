@@ -11,7 +11,8 @@ import sys
 
 from . import bench
 from .config import ExperimentConfig, load_config, resolve_experiment
-from .errors import ConfigError, ParseError
+from .datagen import SHAPE_KINDS
+from .errors import ConfigError, ParamFileError, ParseError
 from .gradcheck import format_report, gradient_check_report
 from .network import load_params, save_params
 from .training import _evaluate, train_loop
@@ -73,7 +74,7 @@ def cmd_train(args):
     train = bench.prepare_dataset(model, train_raw, segmentation)
     test = bench.prepare_dataset(model, test_raw, segmentation)
     params, log = train_loop(
-        model, train, test, bench.train_config(cfg), num_classes=4, seed=seed,
+        model, train, test, bench.train_config(cfg), num_classes=len(SHAPE_KINDS), seed=seed,
         log_path=os.path.join(args.out, "log.csv"), segmentation=segmentation,
     )
     save_params(os.path.join(args.out, "model.bin"), params)
@@ -91,18 +92,17 @@ def cmd_eval(args):
     model = bench._build_model(cfg, emb, neigh, seed=cfg.seeds[0])
     saved = load_params(args.params)
     params = model.params()
-    missing = set(params) ^ set(saved)
+    missing = sorted(set(params) ^ set(saved))
     if missing:
-        raise SystemExit(f"parameter mismatch: {sorted(missing)[:5]}")
+        raise ParamFileError("in only one of file and model", tensor=missing[0])
     for name, p in params.items():
         if saved[name].shape != p.shape:
-            raise SystemExit(
-                f"shape mismatch for {name}: saved {saved[name].shape}, "
-                f"model {p.shape}")
+            raise ParamFileError(f"saved shape {saved[name].shape}, model {p.shape}",
+                                 tensor=name)
         p[...] = saved[name]
     _, test_raw = bench.build_datasets(cfg)
     test = bench.prepare_dataset(model, test_raw, segmentation)
-    oa, macc, miou = _evaluate(model, test, num_classes=4, segmentation=segmentation)
+    oa, macc, miou = _evaluate(model, test, len(SHAPE_KINDS), segmentation)
     print(f"oa={oa:.6f} macc={macc:.6f} miou={miou:.6f}")
     return 0
 
@@ -135,7 +135,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParamFileError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,14 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+class ParamFileError(ValueError):
+    """Malformed or mismatched parameter file. Carries the tensor name."""
+
+    def __init__(self, message, tensor=None):
+        self.tensor = tensor
+        super().__init__(message if tensor is None else f"tensor '{tensor}': {message}")
+
+
 class TrainingFault(RuntimeError):
     """Non-finite value encountered during training."""
 

@@ -7,7 +7,7 @@ relative error and whether it passed its tolerance. Non-differentiable loci
 convention; Box offset gradients are asserted exactly zero instead.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .embeddings import (
 )
 from .geometry import PointCloud, ball_query
 from .network import ClassificationNetwork, EmbeddingSpec, EncoderConfig, NeighborhoodSpec, SegmentationNetwork
-from .pointconv import ConvSite, _backward_site, _forward_site, init_conv_layer, make_site
+from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
 from .training import cross_entropy
 
 H = 1e-5
@@ -196,10 +196,7 @@ def check_conv_gradients(seed=2):
                                  0.0, err == 0.0))
         else:
             def off_loss(flat):
-                s2 = ConvSite(neighbors=site.neighbors,
-                              offsets=flat.reshape(site.offsets.shape),
-                              query_ids=site.query_ids, counts=site.counts,
-                              num_support=site.num_support)
+                s2 = replace(site, offsets=flat.reshape(site.offsets.shape))
                 return np.array([float(np.sum(v * _forward_site(layer, s2, features)[0]))])
 
             fd = numerics.finite_diff_jacobian(off_loss, site.offsets.ravel(), h=H)

@@ -8,6 +8,8 @@ forward. Parameters live in numpy arrays that the optimizer updates in
 place; `params()` / `grads()` expose them under stable dotted names.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +25,7 @@ from .embeddings import (
     icosahedron_kernel_points,
     init_mlp_embedding,
 )
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, ParamFileError, ShapeError
 from .geometry import PointCloud, ball_query, cell_average_subsample, knn
 from .pointconv import ConvLayer, _backward_site, _forward_site, init_conv_layer, make_site
 
@@ -648,23 +650,37 @@ def save_params(path, params):
             fh.write(np.asarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size, what, tensor=None):
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParamFileError(f"file truncated in {what}: {left} of {size} bytes", tensor)
+    return fh.read(size)
+
+
 def load_params(path):
+    """Read a file written by `save_params`. A truncated file, trailing bytes
+    or non-finite values raise ParamFileError naming the tensor at fault."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise ValueError("not a parameter file")
-        version, count = struct.unpack("<II", fh.read(8))
+            raise ParamFileError("not a parameter file")
+        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
+            raise ParamFileError(f"unsupported version {version}")
         table = []
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
+            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "tensor table"))
+            name = _read_exact(fh, nlen, "tensor table").decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor table", name))
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "tensor table", name))
             table.append((name, shape))
         out = {}
         for name, shape in table:
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
+            size = math.prod(shape)
+            data = np.frombuffer(_read_exact(fh, 8 * size, "values", name), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise ParamFileError("non-finite values", tensor=name)
+            out[name] = data.reshape(shape).astype(np.float64)
+        trailing = len(fh.read())
+        if trailing:
+            raise ParamFileError(f"{trailing} trailing bytes after the last tensor")
         return out

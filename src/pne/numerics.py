@@ -1,6 +1,5 @@
-"""Activation functions with derivatives, deterministic reductions and the
-central finite-difference oracle used to verify every analytic gradient in
-the package.
+"""Activation functions with derivatives and the central finite-difference
+oracle used to verify every analytic gradient in the package.
 
 All checks run in float64 regardless of what precision a model stores its
 parameters in.
@@ -8,8 +7,6 @@ parameters in.
 
 import numpy as np
 from scipy.special import erf
-
-from .errors import ShapeError
 
 RELU = "relu"
 GELU = "gelu"
@@ -83,32 +80,3 @@ def finite_diff_jacobian(f, x, h=1e-5):
         cols.append((fp - fm) / (2.0 * h))
     return np.stack(cols, axis=1)
 
-
-def matmul(a, b):
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-d arrays")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def deterministic_sum(values):
-    """Sum with a fixed left-to-right pairwise-tree order.
-
-    The accumulation order depends only on the input length, so repeated
-    runs over the same sequence are bit-identical.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2 == 1:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]

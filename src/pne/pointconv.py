@@ -2,15 +2,29 @@
 
 Per query point x with neighbors N(x):
 
-    out_o(x) = norm * sum_{y in N(x)} sum_c f_c(y) <kappa[c, o, :], P e(y - x)>  (+ bias_o)
+    out_o(x) = norm * sum_{y in N(x)} sum_c f_c(y) <kappa[c, o, :], P^T e(y - x)>  (+ bias_o)
 
 where e is the neighborhood embedding, P projects the embedding's native
-dimension to a common dimension E_c (equalizing parameter counts across
+dimension E_raw to a common dimension E_c (equalizing parameter counts across
 embedding kinds) and kappa is the learnable kernel tensor (I x O x E_c).
 
 norm is 1 ("sum", the literal definition) or 1/|N(x)| ("mean", the default:
 ball query yields variable neighbor counts and unnormalized sums scale with
 point density). Queries with empty neighborhoods output the bias (or 0).
+
+Evaluation order. The embedding values of the T stored pairs form one sparse
+pair operator W of shape (E_raw * M, N): row r * M + m holds e_r(y - x_m) at
+the column of each neighbor y of query m. Then
+
+    zq    = W @ f                      (E_raw * M, I), reordered to (M, E_raw * I)
+    K_eff = P @ kappa^T                (E_raw * I, O), one matrix product
+    out   = norm * (zq @ K_eff) + bias
+
+so no per-pair (T, I * E) tensor is formed. Backward runs the same chain:
+d_K_eff = zq^T @ (norm * upstream) splits into d_kernel and d_projection
+through P and kappa, and d_features = W^T @ dz. The per-pair embedding
+gradient d_e[t, r] = sum_i f_i(y_t) dz[m_t, r, i] is formed only when the
+embedding has learnable parameters or offset gradients are requested.
 """
 
 from dataclasses import dataclass
@@ -28,41 +42,26 @@ MEAN = "mean"
 @dataclass
 class ConvSite:
     """Geometry binding of a convolution: the neighbor structure between a
-    query and a support cloud, with precomputed relative offsets.
-
-    `cached_embed` may hold precomputed embedding values for embeddings
-    without learnable parameters (kernel-point, identity)."""
+    query and a support cloud, with precomputed relative offsets."""
 
     neighbors: object
     offsets: np.ndarray          # (T, 3) support - query per stored pair
     query_ids: np.ndarray        # (T,)
     counts: np.ndarray           # (M,)
     num_support: int
-    cached_embed: Optional[np.ndarray] = None
-    seg_sum: object = None       # (M, T) sparse pair-to-query summation
-    scatter: object = None       # (N, T) sparse pair-to-support scatter
 
 
-def make_site(query, support, neighbors, embedding=None):
-    """Build a ConvSite; optionally precompute embeddings for fixed kinds."""
+def make_site(query, support, neighbors):
+    """Build a ConvSite from a neighbor list between `query` and `support`."""
     qid = neighbors.query_ids()
     offsets = support.positions[neighbors.indices] - query.positions[qid]
-    t = len(qid)
-    ones = np.ones(t)
-    cols = np.arange(t)
-    site = ConvSite(
+    return ConvSite(
         neighbors=neighbors,
         offsets=offsets,
         query_ids=qid,
         counts=neighbors.counts,
         num_support=len(support),
-        seg_sum=sparse.csr_matrix((ones, (qid, cols)), shape=(len(query), t)),
-        scatter=sparse.csr_matrix((ones, (neighbors.indices, cols)),
-                                  shape=(len(support), t)),
     )
-    if embedding is not None and not embedding.params():
-        site.cached_embed = embedding.embed(offsets)
-    return site
 
 
 @dataclass
@@ -111,25 +110,30 @@ class ConvGradients:
     d_offsets: Optional[np.ndarray] = None
 
 
-def _segment_sum(values, counts, offsets):
-    """Sum `values` (T, ...) into per-query slots (M, ...). Pairs are stored
-    contiguously per query, so reduceat over non-empty segment starts works."""
-    m = len(counts)
-    out = np.zeros((m,) + values.shape[1:])
-    nz = counts > 0
-    if nz.any():
-        starts = offsets[:-1][nz]
-        out[nz] = np.add.reduceat(values, starts, axis=0)
-    return out
-
-
 def _norm_weights(layer, counts):
+    """Per-query output scale; an empty query has no pairs, so its weight
+    meets only zeros."""
     if layer.normalize == SUM:
         return np.ones(len(counts))
-    w = np.zeros(len(counts))
-    nz = counts > 0
-    w[nz] = 1.0 / counts[nz]
-    return w
+    return 1.0 / np.maximum(counts, 1)
+
+
+def _pair_operator(site, e):
+    """The (E_raw * M, N) operator W: row r * M + m sums e[t, r] * f[s(t)]
+    over the pairs t of query m. Pairs are stored contiguously per query, so
+    block r repeats the neighbor list's row pointers shifted by r * T."""
+    t, r = e.shape
+    nbr = site.neighbors
+    indptr = np.append((nbr.offsets[:-1] + t * np.arange(r)[:, None]).ravel(), r * t)
+    return sparse.csr_matrix((e.T.ravel(), np.tile(nbr.indices, r), indptr),
+                             shape=(r * nbr.num_queries, site.num_support))
+
+
+def _effective_kernel(layer):
+    """K_eff[r * I + c, o] = sum_e P[r, e] kappa[c, o, e]."""
+    i, o, ec = layer.kernel.shape
+    k = layer.kernel.reshape(i * o, ec).T                      # (E_c, I*O)
+    return (layer.projection @ k).reshape(-1, o)               # (E_raw*I, O)
 
 
 def _forward_site(layer, site, features):
@@ -137,50 +141,47 @@ def _forward_site(layer, site, features):
         raise ShapeError(
             f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
         )
-    e = site.cached_embed if site.cached_embed is not None else layer.embedding.embed(site.offsets)
-    g = e @ layer.projection                                   # (T, E_c)
-    fn = features[site.neighbors.indices]                      # (T, I)
-    i, o, ec = layer.kernel.shape
-    # sum the feature x embedding outer products per query first, then
-    # contract with the kernel once per query (the sums commute)
-    z = (fn[:, :, None] * g[:, None, :]).reshape(-1, i * ec)   # (T, I*E_c)
-    if site.seg_sum is not None:
-        zq = site.seg_sum @ z                                  # (M, I*E_c)
-    else:
-        zq = _segment_sum(z, site.counts, site.neighbors.offsets)
+    e = layer.embedding.embed(site.offsets)                    # (T, E_raw)
+    op = _pair_operator(site, e)
+    m, r, i = len(site.counts), e.shape[1], layer.in_features
+    zq = (op @ features).reshape(r, m, i).transpose(1, 0, 2).reshape(m, r * i)
     w = _norm_weights(layer, site.counts)
-    out = (zq @ layer.kernel.transpose(0, 2, 1).reshape(i * ec, o)) * w[:, None]
+    k_eff = _effective_kernel(layer)
+    out = (zq @ k_eff) * w[:, None]
     if layer.bias is not None:
         out = out + layer.bias
-    cache = (e, g, fn, zq, w)
-    return out, cache
+    return out, (op, zq, w, k_eff)
 
 
 def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
-    e, g, fn, zq, w = cache
+    op, zq, w, k_eff = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
         raise ShapeError(f"upstream must be ({m}, {layer.out_features})")
     i, o, ec = layer.kernel.shape
+    r = layer.projection.shape[0]
     uq = upstream * w[:, None]                                 # (M, O)
-    d_kernel = (zq.T @ uq).reshape(i, ec, o).transpose(0, 2, 1)
-    k2 = layer.kernel.transpose(0, 2, 1).reshape(i * ec, o)
-    dz = (uq @ k2.T)[site.query_ids].reshape(-1, i, ec)        # (T, I, E_c)
-    d_g = np.matmul(fn[:, None, :], dz)[:, 0, :]               # (T, E_c)
-    d_projection = e.T @ d_g
-    d_e = d_g @ layer.projection.T
-    d_fn = np.matmul(dz, g[:, :, None])[:, :, 0]               # (T, I)
-    if site.scatter is not None:
-        d_features = site.scatter @ d_fn
-    else:
-        d_features = np.zeros_like(features)
-        np.add.at(d_features, site.neighbors.indices, d_fn)
+    d_keff = (zq.T @ uq).reshape(r, i * o)                     # (E_raw, I*O)
+    k = layer.kernel.reshape(i * o, ec)
+    d_kernel = (layer.projection.T @ d_keff).T.reshape(i, o, ec)
+    d_projection = d_keff @ k
+    dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
+    d_features = op.T @ dz.transpose(1, 0, 2).reshape(r * m, i)
     d_bias = upstream.sum(axis=0) if layer.bias is not None else None
-    d_emb = layer.embedding.gradient_params(site.offsets, d_e)
+    d_emb = {}
     d_offsets = None
-    if with_offsets:
-        jac = layer.embedding.jacobian_offsets(site.offsets)   # (T, E_raw, 3)
-        d_offsets = np.einsum("te,tec->tc", d_e, jac)
+    if layer.embedding.params() or with_offsets:
+        # d_e[t, r] = f[s(t)] . dz[q(t), r]: one (count, I) @ (I, E_raw) product per
+        # query; padding neighbor features costs less than gathering dz per pair
+        qid = site.query_ids
+        slot = np.arange(len(qid)) - site.neighbors.offsets[qid]
+        fpad = np.zeros((m, site.counts.max(initial=0), i))
+        fpad[qid, slot] = features[site.neighbors.indices]
+        d_e = np.matmul(fpad, dz.transpose(0, 2, 1))[qid, slot]   # (T, E_raw)
+        d_emb = layer.embedding.gradient_params(site.offsets, d_e)
+        if with_offsets:
+            jac = layer.embedding.jacobian_offsets(site.offsets)   # (T, E_raw, 3)
+            d_offsets = np.einsum("te,tec->tc", d_e, jac)
     return ConvGradients(
         d_features=d_features,
         d_kernel=d_kernel,
@@ -194,7 +195,7 @@ def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
 def conv_forward(layer, query, support, neighbors, features):
     """Forward evaluation; query and support may be different clouds."""
     features = np.asarray(features, dtype=np.float64)
-    site = make_site(query, support, neighbors, layer.embedding)
+    site = make_site(query, support, neighbors)
     out, _ = _forward_site(layer, site, features)
     return out
 
@@ -205,7 +206,7 @@ def conv_backward(layer, query, support, neighbors, features, upstream, with_off
     computed on request; they are not consumed by the optimizer."""
     features = np.asarray(features, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    site = make_site(query, support, neighbors, layer.embedding)
+    site = make_site(query, support, neighbors)
     _, cache = _forward_site(layer, site, features)
     return _backward_site(layer, site, features, upstream, cache, with_offsets=with_offsets)
 

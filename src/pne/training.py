@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StatisticsError, TrainingFault
+from .errors import ShapeError, StatisticsError, TrainingFault
 
 
 @dataclass
@@ -131,6 +131,12 @@ class Metrics:
     def update(self, predictions, labels):
         predictions = np.asarray(predictions, dtype=np.int64).ravel()
         labels = np.asarray(labels, dtype=np.int64).ravel()
+        if predictions.shape != labels.shape:
+            raise ShapeError(f"{len(predictions)} predictions for {len(labels)} labels")
+        for name, values in (("label", labels), ("prediction", predictions)):
+            bad = (values < 0) | (values >= self.num_classes)
+            if bad.any():
+                raise ValueError(f"{name} {values[bad][0]} outside [0, {self.num_classes})")
         flat = labels * self.num_classes + predictions
         self.confusion += np.bincount(flat, minlength=self.num_classes**2).reshape(
             self.num_classes, self.num_classes

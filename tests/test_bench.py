@@ -225,7 +225,7 @@ def test_cli_train_eval_roundtrip(tmp_path, monkeypatch, capsys):
     assert eval_line == train_line  # same params, same test split
 
 
-def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch):
+def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PNE_DETERMINISTIC", "1")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(TINY_CFG_TEXT)
@@ -233,6 +233,14 @@ def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch):
     cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
     wide = tmp_path / "wide.cfg"
     wide.write_text(TINY_CFG_TEXT.replace("widths = 4", "widths = 8"))
-    with pytest.raises(SystemExit):
-        cli.main(["eval", "--config", str(wide), "--out", str(out),
-                  "--params", str(out / "model.bin")])
+    capsys.readouterr()
+    rc = cli.main(["eval", "--config", str(wide), "--out", str(out),
+                   "--params", str(out / "model.bin")])
+    assert rc == 2
+    assert "saved shape" in capsys.readouterr().err
+    model = out / "model.bin"
+    model.write_bytes(model.read_bytes()[:-5])
+    rc = cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+                   "--params", str(model)])
+    assert rc == 2
+    assert "file truncated" in capsys.readouterr().err

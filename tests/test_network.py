@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pne.errors import DegenerateInputError
+from pne.errors import DegenerateInputError, ParamFileError
 from pne.geometry import PointCloud, cell_average_subsample
 from pne.network import (
     ClassificationNetwork,
@@ -215,6 +215,35 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"nope")
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def _saved_file(tmp_path, params):
+    path = tmp_path / "model.bin"
+    save_params(path, params)
+    return path
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    path = _saved_file(tmp_path, {"a": np.ones((2, 3)), "b": np.zeros(4)})
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ParamFileError, match="tensor 'b': file truncated") as info:
+        load_params(path)
+    assert info.value.tensor == "b"
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = _saved_file(tmp_path, {"a": np.ones((2, 3))})
+    path.write_bytes(path.read_bytes() + b"\0" * 3)
+    with pytest.raises(ParamFileError, match="3 trailing bytes"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_values(tmp_path, bad):
+    path = _saved_file(tmp_path, {"a": np.ones(2), "b": np.array([1.0, bad])})
+    with pytest.raises(ParamFileError, match="tensor 'b': non-finite") as info:
+        load_params(path)
+    assert info.value.tensor == "b"
 
 
 def test_config_validation():

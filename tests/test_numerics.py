@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pne import numerics
-from pne.errors import ShapeError
 
 
 def test_relu_forward():
@@ -74,34 +73,3 @@ def test_finite_diff_bad_step():
 def test_finite_diff_nonfinite_propagates():
     with pytest.raises(FloatingPointError):
         numerics.finite_diff_jacobian(lambda x: np.array([np.nan]), np.zeros(1), h=1e-4)
-
-
-def test_matmul():
-    out = numerics.matmul([[1.0, 2.0, 3.0]], [[4.0], [5.0], [6.0]])
-    assert out.shape == (1, 1) and out[0, 0] == 32.0
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(numerics.matmul(np.eye(2), m), m)
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        numerics.matmul(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        numerics.matmul(np.ones(3), np.ones((3, 1)))
-
-
-def test_deterministic_sum():
-    assert numerics.deterministic_sum([1, 2, 3]) == 6.0
-    assert numerics.deterministic_sum([]) == 0.0
-    rng = np.random.default_rng(2)
-    vals = rng.standard_normal(1001)
-    a = numerics.deterministic_sum(vals)
-    b = numerics.deterministic_sum(vals.copy())
-    assert a == b  # bitwise
-
-
-def test_deterministic_sum_pairwise_tree_order():
-    # left-to-right pairwise tree: ((a+b)+(c+d)) for 4 elements
-    vals = [1e16, 1.0, -1e16, 1.0]
-    expected = ((1e16 + 1.0) + (-1e16 + 1.0))
-    assert numerics.deterministic_sum(vals) == expected

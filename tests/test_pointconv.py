@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from pne import numerics
 from pne.embeddings import IdentityEmbedding, KernelPointEmbedding, icosahedron_kernel_points, init_mlp_embedding
 from pne.errors import ShapeError
 from pne.geometry import NeighborList, PointCloud, ball_query
+from pne.gradcheck import H, TOL_LOCAL, _kink_mask, _rel_error
+from pne.network import EmbeddingSpec, build_embedding
 from pne.pointconv import (
     MEAN,
     SUM,
     ConvLayer,
+    _backward_site,
+    _forward_site,
     conv_backward,
     conv_forward,
     init_conv_layer,
@@ -197,16 +202,6 @@ def test_parameter_count_equalization():
     assert len(set(counts.values())) == 1
 
 
-def test_make_site_cached_embed():
-    layer, query, support, nl, features = random_instance(14)
-    site = make_site(query, support, nl, layer.embedding)
-    assert site.cached_embed is not None
-    assert site.cached_embed.shape == (len(nl.indices), layer.embedding.raw_dim)
-    mlp = init_mlp_embedding(4, 1.0, "gelu", 0)
-    site2 = make_site(query, support, nl, mlp)
-    assert site2.cached_embed is None
-
-
 def test_sum_vs_mean():
     layer, query, support, nl, features = random_instance(15, normalize=SUM)
     out_sum = conv_forward(layer, query, support, nl, features)
@@ -216,3 +211,93 @@ def test_sum_vs_mean():
     counts = nl.counts.astype(float)
     nz = counts > 0
     assert np.allclose(out_mean[nz], out_sum[nz] / counts[nz, None])
+
+
+def dense_conv_all(layer, nl, offsets, features):
+    """The paper's formula query by query: every (pair, channel) term formed
+    and summed directly, as the benchmark's dense conv oracle does."""
+    rows = []
+    for q in range(nl.num_queries):
+        lo, hi = nl.offsets[q], nl.offsets[q + 1]
+        out = np.zeros(layer.out_features)
+        if hi > lo:
+            g = layer.embedding.embed(offsets[lo:hi]) @ layer.projection   # (T, E_c)
+            out = np.einsum("tc,coe,te->o", features[nl.indices[lo:hi]], layer.kernel, g)
+            if layer.normalize == MEAN:
+                out = out / (hi - lo)
+        if layer.bias is not None:
+            out = out + layer.bias
+        rows.append(out)
+    return np.array(rows)
+
+
+DENSE_SPECS = {
+    "kp_box": EmbeddingSpec(kind="kp", correlation="box"),
+    "kp_triangular": EmbeddingSpec(kind="kp", correlation="triangular"),
+    "kp_gaussian": EmbeddingSpec(kind="kp", correlation="gaussian"),
+    "kp_gaussian_grid3": EmbeddingSpec(kind="kp", correlation="gaussian",
+                                       placement="grid", grid_m=3),
+    "mlp_relu": EmbeddingSpec(kind="mlp", activation="relu"),
+    "mlp_gelu": EmbeddingSpec(kind="mlp", activation="gelu"),
+    "mlp_sin": EmbeddingSpec(kind="mlp", activation="sin"),
+    "identity": EmbeddingSpec(kind="identity"),
+}
+
+
+@pytest.mark.parametrize("normalize", [SUM, MEAN])
+@pytest.mark.parametrize("name", sorted(DENSE_SPECS))
+def test_conv_matches_dense_formula(name, normalize):
+    """Forward output equals the dense per-pair formula, and every analytic
+    gradient matches finite differences of it. E_raw runs from 3 (identity)
+    to 27 (3x3x3 grid) against E_c = 16; two queries have empty balls."""
+    rng = np.random.default_rng(0)
+    support = PointCloud(rng.uniform(-1.0, 1.0, size=(14, 3)))
+    query = PointCloud(np.vstack([rng.uniform(-0.5, 0.5, size=(5, 3)),
+                                  rng.uniform(4.0, 5.0, size=(2, 3))]))
+    nl = ball_query(query, support, 1.0)
+    empty = nl.counts == 0
+    assert empty.sum() == 2 and nl.counts[~empty].min() > 0
+    emb = build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3)
+    layer = init_conv_layer(emb, 2, 3, embed_dim=16, normalize=normalize, seed=4)
+    layer.bias = rng.standard_normal(3)
+    features = rng.standard_normal((len(support), 2))
+    site = make_site(query, support, nl)
+    out, cache = _forward_site(layer, site, features)
+    want = dense_conv_all(layer, nl, site.offsets, features)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(out[empty], np.broadcast_to(layer.bias, (2, 3)))
+
+    v = rng.standard_normal(out.shape)
+    g = _backward_site(layer, site, features, v, cache, with_offsets=True)
+    assert set(g.d_embedding_params) == set(emb.params())
+
+    def loss(offsets=site.offsets, f=features):
+        return np.array([np.sum(v * dense_conv_all(layer, nl, offsets, f))])
+
+    def fd_param(param):
+        saved = param.copy()
+
+        def at(flat):
+            param[...] = flat.reshape(param.shape)
+            return loss()
+
+        fd = numerics.finite_diff_jacobian(at, saved.ravel(), h=H).reshape(saved.shape)
+        param[...] = saved
+        return fd
+
+    checks = [("kernel", g.d_kernel, fd_param(layer.kernel)),
+              ("projection", g.d_projection, fd_param(layer.projection)),
+              ("bias", g.d_bias, fd_param(layer.bias))]
+    checks += [(f"emb.{k}", g.d_embedding_params[k], fd_param(p)) for k, p in emb.params().items()]
+    fd = numerics.finite_diff_jacobian(lambda flat: loss(f=flat.reshape(features.shape)),
+                                       features.ravel(), h=H)
+    checks.append(("features", g.d_features, fd.reshape(features.shape)))
+    if DENSE_SPECS[name].correlation == "box" and DENSE_SPECS[name].kind == "kp":
+        assert np.all(g.d_offsets == 0.0)
+    else:
+        fd = numerics.finite_diff_jacobian(lambda flat: loss(offsets=flat.reshape(-1, 3)),
+                                           site.offsets.ravel(), h=H).reshape(-1, 3)
+        mask = _kink_mask(emb, site.offsets)
+        checks.append(("offsets", g.d_offsets[mask], fd[mask]))
+    for pname, analytic, numeric in checks:
+        assert _rel_error(analytic, numeric) < TOL_LOCAL, pname

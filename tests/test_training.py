@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pne.errors import StatisticsError, TrainingFault
+from pne.errors import ShapeError, StatisticsError, TrainingFault
 from pne.training import (
     AdamWState,
     Metrics,
@@ -159,6 +159,17 @@ def test_metrics_permutation_invariant():
     m2 = Metrics(4)
     m2.update(pred[perm], gt[perm])
     assert np.array_equal(m1.confusion, m2.confusion)
+
+
+def test_metrics_update_rejects_out_of_range():
+    m = Metrics(4)
+    with pytest.raises(ValueError, match="prediction 5 outside"):
+        m.update([5], [0])
+    with pytest.raises(ValueError, match="label -1 outside"):
+        m.update([0], [-1])
+    with pytest.raises(ShapeError):
+        m.update([0, 1, 2], [0])
+    assert not m.confusion.any()
 
 
 def test_metrics_empty_raises():
