@@ -17,14 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import numerics
 from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
-from .embeddings import (
-    IdentityEmbedding,
-    KernelPointEmbedding,
-    icosahedron_kernel_points,
-    init_mlp_embedding,
-)
+from .embeddings import KernelPointEmbedding, icosahedron_kernel_points
 from .errors import ConfigError
 from .geometry import ball_query, cell_average_subsample, farthest_distances, knn
 from .network import (
@@ -34,8 +28,7 @@ from .network import (
     NeighborhoodSpec,
     SegmentationNetwork,
 )
-from .pointconv import ConvLayer, conv_backward, conv_forward, init_conv_layer
-from .training import TrainConfig, _evaluate, cross_entropy, train_loop
+from .training import TrainConfig, train_loop
 
 
 def deterministic_mode():

@@ -135,7 +135,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ParamFileError, ParseError) as exc:
+    except (ConfigError, OSError, ParamFileError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ ReLU/GELU/Sin activations, and the identity embedding.
 Every embedding maps relative offsets (y - x, shape N x 3) to N x E_raw
 descriptors and provides the analytic Jacobian w.r.t. the offsets plus
 gradients w.r.t. its learnable parameters (MLP weights and biases; kernel
-points and sigma are fixed).
+points and sigma are fixed). Kernel-point correlations are evaluated from
+(N, K) squared distances summed one axis at a time, with no (N, K, 3)
+difference tensor.
 """
 
 from dataclasses import dataclass, field
@@ -135,35 +137,37 @@ class KernelPointEmbedding(Embedding):
     def raw_dim(self):
         return len(self.kernel_points)
 
-    def _dists(self, offsets):
-        diff = offsets[:, None, :] - self.kernel_points[None, :, :]  # (N, K, 3)
-        return diff, np.linalg.norm(diff, axis=2)
+    def _axis_diffs(self, offsets):
+        """Yield offsets[:, c] - kernel_points[:, c], (N, K), for c = x, y, z."""
+        return (np.subtract.outer(offsets[:, c], self.kernel_points[:, c]) for c in range(3))
+
+    def _sq_dists(self, offsets):
+        """(N, K) squared distances summed in x, y, z order, as np.linalg.norm
+        sums them, so sqrt(d2) equals the norm of the difference bit for bit."""
+        return sum(np.square(diff, out=diff) for diff in self._axis_diffs(offsets))
 
     def embed(self, offsets):
         offsets = _check_offsets(offsets)
-        diff, d = self._dists(offsets)
+        d2 = self._sq_dists(offsets)
         if self.correlation == BOX:
             # one-hot on the nearest kernel point; argmin ties -> smallest j
-            out = np.zeros_like(d)
-            out[np.arange(len(d)), d.argmin(axis=1)] = 1.0
-            return out
+            return np.eye(self.raw_dim)[d2.argmin(axis=1)]
         if self.correlation == TRIANGULAR:
-            return np.maximum(1.0 - d / self.sigma, 0.0)
-        return np.exp(-np.square(d) / (2.0 * self.sigma**2))
+            return np.maximum(1.0 - np.sqrt(d2) / self.sigma, 0.0)
+        return np.exp(-d2 / (2.0 * self.sigma**2))
 
     def jacobian_offsets(self, offsets):
         offsets = _check_offsets(offsets)
-        diff, d = self._dists(offsets)
         if self.correlation == BOX:
             return np.zeros((len(offsets), self.raw_dim, 3))
+        d2 = self._sq_dists(offsets)
         if self.correlation == TRIANGULAR:
             # zero at the cone apex (d=0) and outside the support (d>=sigma)
-            inside = (d > 0.0) & (d < self.sigma)
-            safe = np.where(d > 0.0, d, 1.0)
-            jac = -diff / (self.sigma * safe[..., None])
-            return np.where(inside[..., None], jac, 0.0)
-        e = np.exp(-np.square(d) / (2.0 * self.sigma**2))
-        return e[..., None] * (-diff) / self.sigma**2
+            d = np.sqrt(d2)
+            denom = np.where((d > 0.0) & (d < self.sigma), self.sigma * d, np.inf)
+            return np.stack([-diff / denom for diff in self._axis_diffs(offsets)], axis=2)
+        e = np.exp(-d2 / (2.0 * self.sigma**2))
+        return np.stack([e * -diff / self.sigma**2 for diff in self._axis_diffs(offsets)], axis=2)
 
 
 @dataclass

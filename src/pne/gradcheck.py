@@ -82,7 +82,7 @@ def _make_embeddings(seed):
 def _kink_mask(emb, offsets):
     """True for probe rows safely away from non-differentiable loci."""
     if isinstance(emb, KernelPointEmbedding) and emb.correlation == "triangular":
-        d = np.linalg.norm(offsets[:, None, :] - emb.kernel_points[None, :, :], axis=2)
+        d = np.sqrt(emb._sq_dists(offsets))
         return (np.abs(d - emb.sigma).min(axis=1) > KINK_MARGIN) & (d.min(axis=1) > KINK_MARGIN)
     if isinstance(emb, MlpEmbedding) and emb.activation == numerics.RELU:
         pre = emb._pre(offsets)

@@ -11,7 +11,7 @@ place; `params()` / `grads()` expose them under stable dotted names.
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .embeddings import (
 )
 from .errors import DegenerateInputError, ParamFileError, ShapeError
 from .geometry import PointCloud, ball_query, cell_average_subsample, knn
-from .pointconv import ConvLayer, _backward_site, _forward_site, init_conv_layer, make_site
+from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
 
 
 def _prefixed(prefix, d):

@@ -244,3 +244,20 @@ def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch, capsys):
                    "--params", str(model)])
     assert rc == 2
     assert "file truncated" in capsys.readouterr().err
+
+
+def test_cli_missing_params_or_config_file_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT)
+    missing_params = tmp_path / "missing.bin"
+    rc = cli.main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+                   "--params", str(missing_params)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing_params) in err
+    missing_cfg = tmp_path / "missing.cfg"
+    rc = cli.main(["eval", "--config", str(missing_cfg), "--out", str(tmp_path),
+                   "--params", str(missing_params)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing_cfg) in err

@@ -243,3 +243,60 @@ def test_init_mlp_embedding_bounds():
     assert np.all(np.abs(v @ emb.weights.T) <= np.sqrt(3) + 1e-12)
     sin_emb = init_mlp_embedding(4, 1.0, numerics.SIN, seed=12)
     assert sin_emb.frequency_scale == pytest.approx(np.pi)
+
+
+def _kp_reference(emb, offsets):
+    """The (T, K, 3) difference-tensor formula the kp embedding is pinned to."""
+    diff = offsets[:, None, :] - emb.kernel_points[None, :, :]
+    d = np.linalg.norm(diff, axis=2)
+    if emb.correlation == "box":
+        e = np.zeros_like(d)
+        e[np.arange(len(d)), d.argmin(axis=1)] = 1.0
+        return e, np.zeros(diff.shape)
+    if emb.correlation == "triangular":
+        inside = (d > 0.0) & (d < emb.sigma)
+        safe = np.where(d > 0.0, d, 1.0)
+        jac = np.where(inside[..., None], -diff / (emb.sigma * safe[..., None]), 0.0)
+        return np.maximum(1.0 - d / emb.sigma, 0.0), jac
+    e = np.exp(-np.square(d) / (2.0 * emb.sigma**2))
+    return e, e[..., None] * (-diff) / emb.sigma**2
+
+
+@pytest.mark.parametrize("placement", ["icosahedron", "grid3"])
+@pytest.mark.parametrize("corr", ["box", "triangular", "gaussian"])
+def test_kp_matches_difference_tensor_reference(corr, placement):
+    if placement == "icosahedron":
+        kps = icosahedron_kernel_points(1.0)
+        sigma, center = icosahedron_shell_spacing(1.0), 12
+    else:
+        kps = grid_kernel_points(3, 1.0)
+        sigma, center = 2.0 / 3.0, 13
+    assert np.array_equal(kps[center], np.zeros(3))
+    emb = KernelPointEmbedding(kps, sigma, corr)
+    rng = np.random.default_rng(14)
+    offsets = np.vstack([
+        kps[4], np.zeros(3),               # on a kernel point, at the origin
+        [sigma, 0.0, 0.0],                 # exactly sigma from the center point
+        [1e3, -1e3, 1e3], [-1.2e3, 0.9e3, 1.1e3],
+        rng.uniform(-1.5, 1.5, size=(300, 3)),
+    ])
+    e, jac = emb.embed(offsets), emb.jacobian_offsets(offsets)
+    ref_e, ref_jac = _kp_reference(emb, offsets)
+    if corr == "gaussian":
+        np.testing.assert_allclose(e, ref_e, rtol=0, atol=1e-15)
+    else:
+        assert np.array_equal(e, ref_e)
+    np.testing.assert_allclose(jac, ref_jac, rtol=0, atol=1e-15)
+    if corr == "triangular":
+        assert e[2, center] == 0.0
+    if corr != "box":
+        assert np.all(e[3:5] == 0.0)
+
+
+def test_kp_box_exact_tie_goes_to_smallest_index():
+    emb = KernelPointEmbedding(grid_kernel_points(2, 1.0), 1.0, "box")
+    origin = np.zeros((1, 3))
+    d2 = np.square(emb.kernel_points).sum(axis=1)
+    assert np.all(d2 == 0.75)  # all 8 corners tie
+    assert np.array_equal(emb.embed(origin), _kp_reference(emb, origin)[0])
+    assert emb.embed(origin)[0, 0] == 1.0
