@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def _aggregate(rows):
     return out
 
 
-def cmd_grid(cfg, out_dir, threads=1):
+def cmd_grid(cfg, out_dir):
     """The embedding x neighborhood grid. Failed cells become explicit rows
     instead of aborting the run."""
     os.makedirs(out_dir, exist_ok=True)
@@ -213,13 +212,8 @@ def cmd_grid(cfg, out_dir, threads=1):
         ref = _build_model(cfg, "none", neigh, seed=0)
         preps[neigh] = (prepare_dataset(ref, datasets[0], segmentation),
                         prepare_dataset(ref, datasets[1], segmentation))
-    jobs = [(emb, neigh, seed)
-            for neigh in cfg.neighborhoods
-            for emb in cfg.embeddings
-            for seed in cfg.seeds]
 
-    def run(job):
-        emb, neigh, seed = job
+    def run(emb, neigh, seed):
         try:
             return run_cell(cfg, emb, neigh, seed, preps=preps[neigh])
         except Exception as exc:  # keep the rest of the grid alive
@@ -229,11 +223,10 @@ def cmd_grid(cfg, out_dir, threads=1):
                     "miou": float("nan"), "wall_seconds": 0.0,
                     "failed": True, "error": str(exc)}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    rows = [run(emb, neigh, seed)
+            for neigh in cfg.neighborhoods
+            for emb in cfg.embeddings
+            for seed in cfg.seeds]
     csv_path = os.path.join(out_dir, "grid.csv")
     write_csv(csv_path, _GRID_COLUMNS, rows)
     write_sidecar(csv_path, cfg, extra={

@@ -1,7 +1,7 @@
 """Benchmark command-line interface.
 
 Subcommands: grid, sigma-sweep, neigh-stats, gradcheck, train, eval.
-Common flags: --config PATH, --out DIR, --seeds LIST, --threads N.
+Common flags: --config PATH, --out DIR, --seeds LIST.
 PNE_DETERMINISTIC=1 makes every CSV byte-identical across reruns.
 """
 
@@ -32,12 +32,11 @@ def _add_common(parser):
     parser.add_argument("--config", default=None, help="experiment config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seeds", default=None, help="comma-separated seed list")
-    parser.add_argument("--threads", type=int, default=1, help="parallel grid cells")
 
 
 def cmd_grid(args):
     cfg = _load_experiment(args)
-    csv_path, _ = bench.cmd_grid(cfg, args.out, threads=args.threads)
+    csv_path, _ = bench.cmd_grid(cfg, args.out)
     print(csv_path)
     return 0
 

@@ -12,19 +12,25 @@ norm is 1 ("sum", the literal definition) or 1/|N(x)| ("mean", the default:
 ball query yields variable neighbor counts and unnormalized sums scale with
 point density). Queries with empty neighborhoods output the bias (or 0).
 
-Evaluation order. The embedding values of the T stored pairs form one sparse
-pair operator W of shape (E_raw * M, N): row r * M + m holds e_r(y - x_m) at
-the column of each neighbor y of query m. Then
+Evaluation order. `make_site` lays the T stored pairs out once per site in
+a padded (M, Kmax) table of support indices, Kmax the largest neighbor count.
+Row m lists the neighbors of query m and its empty slots hold N, the index of
+a zero shadow row appended to the features; `slot` is each pair's flat
+position in that table. Then
 
-    zq    = W @ f                      (E_raw * M, I), reordered to (M, E_raw * I)
+    epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
+    fpad  = [f; 0][table]              (M, Kmax, I)
+    zq    = epad^T @ fpad              (M, E_raw, I), one batched matmul, as (M, E_raw * I)
     K_eff = P @ kappa^T                (E_raw * I, O), one matrix product
     out   = norm * (zq @ K_eff) + bias
 
 so no per-pair (T, I * E) tensor is formed. Backward runs the same chain:
 d_K_eff = zq^T @ (norm * upstream) splits into d_kernel and d_projection
-through P and kappa, and d_features = W^T @ dz. The per-pair embedding
-gradient d_e[t, r] = sum_i f_i(y_t) dz[m_t, r, i] is formed only when the
-embedding has learnable parameters or offset gradients are requested.
+through P and kappa, dz = (norm * upstream) @ K_eff^T, and d_features sums
+(epad @ dz) at the pair slots onto the support points with one sparse product
+of T nonzeros. The per-pair embedding gradient d_e = (fpad @ dz^T) at the pair
+slots is formed only when the embedding has learnable parameters or offset
+gradients are requested.
 """
 
 from dataclasses import dataclass
@@ -42,25 +48,35 @@ MEAN = "mean"
 @dataclass
 class ConvSite:
     """Geometry binding of a convolution: the neighbor structure between a
-    query and a support cloud, with precomputed relative offsets."""
+    query and a support cloud, with precomputed relative offsets and the
+    padded per-query neighbor table."""
 
     neighbors: object
     offsets: np.ndarray          # (T, 3) support - query per stored pair
-    query_ids: np.ndarray        # (T,)
     counts: np.ndarray           # (M,)
     num_support: int
+    table: np.ndarray            # (M, Kmax) support index per slot; num_support if empty
+    slot: np.ndarray             # (T,) flat position of each pair in table
 
 
 def make_site(query, support, neighbors):
     """Build a ConvSite from a neighbor list between `query` and `support`."""
     qid = neighbors.query_ids()
-    offsets = support.positions[neighbors.indices] - query.positions[qid]
+    # np.take gathers rows several times faster than fancy indexing
+    offsets = (np.take(support.positions, neighbors.indices, axis=0)
+               - np.take(query.positions, qid, axis=0))
+    counts = neighbors.counts
+    kmax = counts.max(initial=0)
+    slot = np.arange(len(qid)) + (qid * kmax - neighbors.offsets[qid])
+    table = np.full(len(counts) * kmax, len(support), dtype=np.int64)
+    table[slot] = neighbors.indices
     return ConvSite(
         neighbors=neighbors,
         offsets=offsets,
-        query_ids=qid,
-        counts=neighbors.counts,
+        counts=counts,
         num_support=len(support),
+        table=table.reshape(len(counts), kmax),
+        slot=slot,
     )
 
 
@@ -118,15 +134,15 @@ def _norm_weights(layer, counts):
     return 1.0 / np.maximum(counts, 1)
 
 
-def _pair_operator(site, e):
-    """The (E_raw * M, N) operator W: row r * M + m sums e[t, r] * f[s(t)]
-    over the pairs t of query m. Pairs are stored contiguously per query, so
-    block r repeats the neighbor list's row pointers shifted by r * T."""
-    t, r = e.shape
-    nbr = site.neighbors
-    indptr = np.append((nbr.offsets[:-1] + t * np.arange(r)[:, None]).ravel(), r * t)
-    return sparse.csr_matrix((e.T.ravel(), np.tile(nbr.indices, r), indptr),
-                             shape=(r * nbr.num_queries, site.num_support))
+def _padded_features(site, features):
+    """fpad[m, j] = f[table[m, j]], zero in empty slots (the shadow row)."""
+    shadow = np.zeros((1, features.shape[1]))
+    return np.take(np.concatenate((features, shadow)), site.table, axis=0)  # (M, Kmax, I)
+
+
+def _at_pairs(site, padded):
+    """The (T, X) rows of an (M, Kmax, X) padded array at the pair slots."""
+    return np.take(padded.reshape(-1, padded.shape[2]), site.slot, axis=0)
 
 
 def _effective_kernel(layer):
@@ -142,19 +158,25 @@ def _forward_site(layer, site, features):
             f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
         )
     e = layer.embedding.embed(site.offsets)                    # (T, E_raw)
-    op = _pair_operator(site, e)
-    m, r, i = len(site.counts), e.shape[1], layer.in_features
-    zq = (op @ features).reshape(r, m, i).transpose(1, 0, 2).reshape(m, r * i)
+    m, kmax = site.table.shape
+    r, i = e.shape[1], layer.in_features
+    epad = np.zeros((m * kmax, r))
+    epad[site.slot] = e
+    epad = epad.reshape(m, kmax, r)
+    zq = np.matmul(epad.transpose(0, 2, 1), _padded_features(site, features)).reshape(m, r * i)
     w = _norm_weights(layer, site.counts)
     k_eff = _effective_kernel(layer)
     out = (zq @ k_eff) * w[:, None]
     if layer.bias is not None:
         out = out + layer.bias
-    return out, (op, zq, w, k_eff)
+    # the cache keeps epad but not fpad: backward gathers fpad again, because
+    # every conv module holds its cache until the next forward, and keeping
+    # fpad too raised the peak memory of dense-scene inference by about 40%
+    return out, (epad, zq, w, k_eff)
 
 
 def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
-    op, zq, w, k_eff = cache
+    epad, zq, w, k_eff = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
         raise ShapeError(f"upstream must be ({m}, {layer.out_features})")
@@ -166,18 +188,19 @@ def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
     d_kernel = (layer.projection.T @ d_keff).T.reshape(i, o, ec)
     d_projection = d_keff @ k
     dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
-    d_features = op.T @ dz.transpose(1, 0, 2).reshape(r * m, i)
+    d_pairs = _at_pairs(site, np.matmul(epad, dz))            # (T, I)
+    # d_features[n] sums d_pairs over the pairs whose support point is n:
+    # column t of from_pairs holds a single 1, in the row of pair t's support
+    t = len(site.slot)
+    from_pairs = sparse.csc_matrix((np.ones(t), site.neighbors.indices, np.arange(t + 1)),
+                                   shape=(site.num_support, t))
+    d_features = from_pairs @ d_pairs
     d_bias = upstream.sum(axis=0) if layer.bias is not None else None
     d_emb = {}
     d_offsets = None
     if layer.embedding.params() or with_offsets:
-        # d_e[t, r] = f[s(t)] . dz[q(t), r]: one (count, I) @ (I, E_raw) product per
-        # query; padding neighbor features costs less than gathering dz per pair
-        qid = site.query_ids
-        slot = np.arange(len(qid)) - site.neighbors.offsets[qid]
-        fpad = np.zeros((m, site.counts.max(initial=0), i))
-        fpad[qid, slot] = features[site.neighbors.indices]
-        d_e = np.matmul(fpad, dz.transpose(0, 2, 1))[qid, slot]   # (T, E_raw)
+        fpad = _padded_features(site, features)
+        d_e = _at_pairs(site, np.matmul(fpad, dz.transpose(0, 2, 1)))   # (T, E_raw)
         d_emb = layer.embedding.gradient_params(site.offsets, d_e)
         if with_offsets:
             jac = layer.embedding.jacobian_offsets(site.offsets)   # (T, E_raw, 3)

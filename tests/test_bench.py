@@ -96,13 +96,6 @@ def test_grid_failed_cell_becomes_row(tmp_path, monkeypatch):
     assert len(side["aggregate"]) == 1
 
 
-def test_grid_threads_match_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("PNE_DETERMINISTIC", "1")
-    p1, _ = bench.cmd_grid(tiny_cfg(), str(tmp_path / "serial"), threads=1)
-    p2, _ = bench.cmd_grid(tiny_cfg(), str(tmp_path / "par"), threads=2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
 def test_sigma_sweep_rows_and_support(tmp_path, monkeypatch):
     monkeypatch.setenv("PNE_DETERMINISTIC", "1")
     cfg = tiny_cfg(sweep_factors=[0.25, 1.0], sweep_correlations=["triangular"])

@@ -52,6 +52,27 @@ def test_duplicate_neighbor_under_mean_unchanged():
     nl2 = NeighborList(np.array([0, 2]), np.array([0, 0]))
     out2 = conv_forward(layer, query, support, nl2, features)
     assert np.allclose(out1, out2)
+    up = np.array([[3.0]])
+    g1 = conv_backward(layer, query, support, nl, features, up, with_offsets=True)
+    g2 = conv_backward(layer, query, support, nl2, features, up, with_offsets=True)
+    assert np.allclose(g2.d_features, g1.d_features, rtol=1e-14, atol=0.0)
+    assert np.allclose(g2.d_kernel, g1.d_kernel, rtol=1e-14, atol=0.0)
+    assert np.allclose(g2.d_offsets, np.vstack([g1.d_offsets] * 2) / 2, rtol=1e-14, atol=0.0)
+
+
+def test_duplicate_neighbor_under_sum_doubles():
+    """Listing the one neighbor twice in a query's row of the padded table
+    doubles the output and the feature and kernel gradients."""
+    layer, query, support, nl, features = single_neighbor_setup()
+    nl2 = NeighborList(np.array([0, 2]), np.array([0, 0]))
+    assert np.array_equal(make_site(query, support, nl2).table, [[0, 0]])
+    up = np.array([[3.0]])
+    g1 = conv_backward(layer, query, support, nl, features, up)
+    g2 = conv_backward(layer, query, support, nl2, features, up)
+    out2 = conv_forward(layer, query, support, nl2, features)
+    assert out2[0, 0] == pytest.approx(2.0)
+    assert np.allclose(g2.d_features, 2 * g1.d_features, rtol=1e-14, atol=0.0)
+    assert np.allclose(g2.d_kernel, 2 * g1.d_kernel, rtol=1e-14, atol=0.0)
 
 
 def test_empty_neighborhood_outputs_bias():
@@ -62,6 +83,15 @@ def test_empty_neighborhood_outputs_bias():
     nl = NeighborList(np.array([0, 0]), np.empty(0, dtype=np.int64))
     out = conv_forward(layer, query, support, nl, features)
     assert out[0, 0] == pytest.approx(7.0)
+    # every query empty: the padded table has no columns (Kmax = 0)
+    assert make_site(query, support, nl).table.shape == (1, 0)
+    up = np.array([[3.0]])
+    g = conv_backward(layer, query, support, nl, features, up, with_offsets=True)
+    assert np.array_equal(g.d_features, np.zeros_like(features))
+    assert np.array_equal(g.d_kernel, np.zeros_like(layer.kernel))
+    assert np.array_equal(g.d_projection, np.zeros_like(layer.projection))
+    assert np.array_equal(g.d_bias, up.sum(axis=0))
+    assert g.d_offsets.shape == (0, 3)
 
 
 def random_instance(seed, emb=None, normalize=MEAN, i=3, o=2):
@@ -213,6 +243,23 @@ def test_sum_vs_mean():
     assert np.allclose(out_mean[nz], out_sum[nz] / counts[nz, None])
 
 
+def test_make_site_padded_table():
+    """Row m of the table starts with the neighbors of query m, in order, and
+    every other slot holds num_support; slot puts each pair at its entry."""
+    rng = np.random.default_rng(21)
+    support = PointCloud(rng.uniform(-1, 1, size=(20, 3)))
+    query = PointCloud(np.vstack([rng.uniform(-1, 1, size=(9, 3)), [[9.0, 9.0, 9.0]]]))
+    nl = ball_query(query, support, 0.8)
+    counts = nl.counts
+    assert counts.min() == 0 and len(np.unique(counts)) >= 4
+    site = make_site(query, support, nl)
+    assert site.table.shape == (len(query), counts.max())
+    for m in range(len(query)):
+        assert np.array_equal(site.table[m, :counts[m]], nl.neighbors(m))
+        assert np.all(site.table[m, counts[m]:] == len(support))
+    assert np.array_equal(site.table.ravel()[site.slot], nl.indices)
+
+
 def dense_conv_all(layer, nl, offsets, features):
     """The paper's formula query by query: every (pair, channel) term formed
     and summed directly, as the benchmark's dense conv oracle does."""
@@ -301,3 +348,20 @@ def test_conv_matches_dense_formula(name, normalize):
         checks.append(("offsets", g.d_offsets[mask], fd[mask]))
     for pname, analytic, numeric in checks:
         assert _rel_error(analytic, numeric) < TOL_LOCAL, pname
+
+
+@pytest.mark.parametrize("name", ["kp_gaussian", "mlp_gelu"])
+def test_unreferenced_support_gets_zero_feature_gradient(name):
+    """A support point no pair references, stored last where a shadow slot
+    read off by one would land, gets an exactly zero d_features row."""
+    layer, query, support, nl, features = random_instance(
+        16, emb=build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3))
+    support = PointCloud(np.vstack([support.positions, [[30.0, 0.0, 0.0]]]))
+    features = np.vstack([features, np.full((1, features.shape[1]), 5.0)])
+    site = make_site(query, support, nl)
+    assert site.table.size > len(nl.indices)                   # padded slots exist
+    out, cache = _forward_site(layer, site, features)
+    up = np.random.default_rng(17).standard_normal(out.shape)
+    g = _backward_site(layer, site, features, up, cache, with_offsets=True)
+    assert np.all(g.d_features[-1] == 0.0)
+    assert np.any(g.d_features[:-1] != 0.0)
