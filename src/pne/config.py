@@ -73,22 +73,26 @@ class ConfigView:
                               key=f"{section}.{key}")
         return value
 
-    def get_float(self, section, key, default=None):
+    def get_float(self, section, key, default=None, positive=False):
         value = self._raw(section, key, default)
         if isinstance(value, str):
             try:
-                return float(value)
+                value = float(value)
             except ValueError:
                 raise ConfigError(f"not a number: {value!r}", key=f"{section}.{key}") from None
+        if positive and not value > 0:
+            raise ConfigError(f"must be positive, got {value}", key=f"{section}.{key}")
         return value
 
-    def get_int(self, section, key, default=None):
+    def get_int(self, section, key, default=None, minimum=None):
         value = self._raw(section, key, default)
         if isinstance(value, str):
             try:
-                return int(value)
+                value = int(value)
             except ValueError:
                 raise ConfigError(f"not an integer: {value!r}", key=f"{section}.{key}") from None
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {value}", key=f"{section}.{key}")
         return value
 
     def get_list(self, section, key, default=None, convert=str):
@@ -174,36 +178,44 @@ def resolve_experiment(sections):
             raise ConfigError(f"unknown neighborhood {n!r}", key="experiment.neighborhoods")
 
     cfg.widths = v.get_list("network", "widths", cfg.widths, convert=int)
+    if not cfg.widths or min(cfg.widths) < 1:
+        raise ConfigError("need at least one level, every width >= 1", key="network.widths")
     cfg.blocks = v.get_list("network", "blocks", cfg.blocks, convert=int)
     if len(cfg.widths) != len(cfg.blocks):
         raise ConfigError("widths and blocks must have equal length", key="network.blocks")
-    cfg.initial_cell = v.get_float("network", "initial_cell", cfg.initial_cell)
-    if cfg.initial_cell <= 0:
-        raise ConfigError("must be positive", key="network.initial_cell")
-    cfg.embed_dim = v.get_int("network", "embed_dim", cfg.embed_dim)
-    cfg.mlp_dim = v.get_int("network", "mlp_dim", cfg.mlp_dim)
-    cfg.sigma_factor = v.get_float("network", "sigma_factor", cfg.sigma_factor)
-    cfg.ball_scale = v.get_float("network", "ball_scale", cfg.ball_scale)
-    cfg.knn_k = v.get_int("network", "knn_k", cfg.knn_k)
+    if min(cfg.blocks) < 0:
+        raise ConfigError("block counts must be >= 0", key="network.blocks")
+    cfg.initial_cell = v.get_float("network", "initial_cell", cfg.initial_cell, positive=True)
+    cfg.embed_dim = v.get_int("network", "embed_dim", cfg.embed_dim, minimum=1)
+    cfg.mlp_dim = v.get_int("network", "mlp_dim", cfg.mlp_dim, minimum=1)
+    cfg.sigma_factor = v.get_float("network", "sigma_factor", cfg.sigma_factor, positive=True)
+    cfg.ball_scale = v.get_float("network", "ball_scale", cfg.ball_scale, positive=True)
+    cfg.knn_k = v.get_int("network", "knn_k", cfg.knn_k, minimum=1)
     cfg.drop_path_max = v.get_float("network", "drop_path_max", cfg.drop_path_max)
+    if not 0.0 <= cfg.drop_path_max < 1.0:
+        raise ConfigError("must be in [0, 1)", key="network.drop_path_max")
 
-    cfg.epochs = v.get_int("training", "epochs", cfg.epochs)
-    cfg.batch_size = v.get_int("training", "batch_size", cfg.batch_size)
-    cfg.max_lr = v.get_float("training", "max_lr", cfg.max_lr)
+    cfg.epochs = v.get_int("training", "epochs", cfg.epochs, minimum=1)
+    cfg.batch_size = v.get_int("training", "batch_size", cfg.batch_size, minimum=1)
+    cfg.max_lr = v.get_float("training", "max_lr", cfg.max_lr, positive=True)
     cfg.weight_decay = v.get_float("training", "weight_decay", cfg.weight_decay)
-    cfg.clip_norm = v.get_float("training", "clip_norm", cfg.clip_norm)
+    cfg.clip_norm = v.get_float("training", "clip_norm", cfg.clip_norm, positive=True)
     cfg.warmup_fraction = v.get_float("training", "warmup_fraction", cfg.warmup_fraction)
+    if not 0.0 < cfg.warmup_fraction < 1.0:
+        raise ConfigError("must be in (0, 1)", key="training.warmup_fraction")
     early = v.get_float("training", "early_stop_oa", cfg.early_stop_oa)
     cfg.early_stop_oa = early
 
-    cfg.train_per_class = v.get_int("data", "train_per_class", cfg.train_per_class)
-    cfg.test_per_class = v.get_int("data", "test_per_class", cfg.test_per_class)
-    cfg.points = v.get_int("data", "points", cfg.points)
+    cfg.train_per_class = v.get_int("data", "train_per_class", cfg.train_per_class, minimum=1)
+    cfg.test_per_class = v.get_int("data", "test_per_class", cfg.test_per_class, minimum=1)
+    cfg.points = v.get_int("data", "points", cfg.points, minimum=1)
     cfg.noise_sigma = v.get_float("data", "noise_sigma", cfg.noise_sigma)
     cfg.data_seed = v.get_int("data", "seed", cfg.data_seed)
-    cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes)
+    cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
 
     cfg.sweep_factors = v.get_list("sigma_sweep", "factors", cfg.sweep_factors, convert=float)
+    if not all(f > 0 for f in cfg.sweep_factors):
+        raise ConfigError("every factor must be positive", key="sigma_sweep.factors")
     cfg.sweep_correlations = v.get_list("sigma_sweep", "correlations", cfg.sweep_correlations)
     for c in cfg.sweep_correlations:
         if c not in ("triangular", "gaussian"):

@@ -1,5 +1,4 @@
-"""Synthetic desk-scale datasets, geometric augmentations and point-cloud
-file I/O (XYZ and ASCII PLY).
+"""Synthetic desk-scale datasets.
 
 Shape classes are chosen so local geometry matters: sphere and torus share
 a bounding box, cube has corners, plane is flat.
@@ -10,7 +9,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError
 from .geometry import PointCloud
 
 SPHERE = "sphere"
@@ -88,13 +86,8 @@ def sample_shape(kind, n, noise_sigma=0.0, seed=0):
     return PointCloud(pts)
 
 
-def random_rotation(rng, up_axis_only=False):
-    """Uniform random rotation matrix (full SO(3) via unit quaternion, or
-    about the z axis only)."""
-    if up_axis_only:
-        a = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def random_rotation(rng):
+    """Uniform random rotation matrix over SO(3), via a unit quaternion."""
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     w, x, y, z = q
@@ -136,41 +129,6 @@ def compose_scene(spec, n_per_shape, noise_sigma=0.0, seed=0):
         clouds.append(pts)
         labels.append(np.full(n_per_shape, i, dtype=np.int64))
     return PointCloud(np.vstack(clouds), labels=np.concatenate(labels))
-
-
-@dataclass
-class AugmentationConfig:
-    rotate: bool = True
-    up_axis_only: bool = False
-    mirror_prob: float = 0.5
-    scale_range: tuple = (0.9, 1.1)
-    jitter_sigma: float = 0.0
-    enable_scale: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.mirror_prob <= 1.0:
-            raise ValueError("mirror_prob must be in [0, 1]")
-        if self.scale_range[0] > self.scale_range[1]:
-            raise ValueError("scale_range must be ordered")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-
-
-def augment(cloud, cfg, seed=0):
-    """Apply, in this fixed order: rotation, mirror (x flip), uniform scale,
-    coordinate jitter. Labels pass through unchanged."""
-    rng = np.random.default_rng(seed)
-    pts = cloud.positions.copy()
-    if cfg.rotate:
-        pts = pts @ random_rotation(rng, cfg.up_axis_only).T
-    if rng.uniform() < cfg.mirror_prob:
-        pts[:, 0] = -pts[:, 0]
-    if cfg.enable_scale:
-        pts = pts * rng.uniform(*cfg.scale_range)
-    if cfg.jitter_sigma > 0:
-        pts = pts + rng.normal(scale=cfg.jitter_sigma, size=pts.shape)
-    return PointCloud(pts, features=cloud.features, labels=cloud.labels,
-                      cell_size=cloud.cell_size)
 
 
 def make_classification_dataset(n_per_class_train=200, n_per_class_test=50,
@@ -215,105 +173,3 @@ def make_segmentation_dataset(n_scenes=20, n_per_shape=128, noise_sigma=0.01, se
         class_ids = np.array([SHAPE_KINDS.index(k) for k in kinds], dtype=np.int64)
         scenes.append(PointCloud(scene.positions, labels=class_ids[scene.labels]))
     return scenes
-
-
-def write_xyz(path, cloud):
-    """One point per line: x y z [label], 9 significant digits."""
-    with open(path, "w") as fh:
-        for i, p in enumerate(cloud.positions):
-            line = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
-            if cloud.labels is not None:
-                line += f" {cloud.labels[i]}"
-            fh.write(line + "\n")
-
-
-def read_xyz(path):
-    positions = []
-    labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (3, 4):
-                raise ParseError(f"expected 3 or 4 fields, got {len(parts)}", line=lineno)
-            try:
-                positions.append([float(v) for v in parts[:3]])
-            except ValueError:
-                raise ParseError("malformed coordinate", line=lineno) from None
-            if len(parts) == 4:
-                try:
-                    labels.append(int(parts[3]))
-                except ValueError:
-                    raise ParseError("malformed label", line=lineno) from None
-    if labels and len(labels) != len(positions):
-        raise ParseError("label column present on only some lines")
-    return PointCloud(np.asarray(positions), labels=np.asarray(labels) if labels else None)
-
-
-def write_ply_ascii(path, cloud):
-    """ASCII PLY with x/y/z properties and an optional scalar label."""
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(cloud)}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        if cloud.labels is not None:
-            fh.write("property int label\n")
-        fh.write("end_header\n")
-        for i, p in enumerate(cloud.positions):
-            line = f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}"
-            if cloud.labels is not None:
-                line += f" {cloud.labels[i]}"
-            fh.write(line + "\n")
-
-
-def read_ply_ascii(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError("missing 'ply' magic", line=1)
-    count = None
-    props = []
-    header_end = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "format":
-            if tok[1] != "ascii":
-                raise ParseError("only ascii PLY is supported", line=lineno)
-        elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise ParseError(f"unsupported element {tok[1]!r}", line=lineno)
-            count = int(tok[2])
-        elif tok[0] == "property":
-            props.append(tok[2])
-        elif tok[0] == "end_header":
-            header_end = lineno
-            break
-    if header_end is None or count is None:
-        raise ParseError("incomplete header", line=len(lines))
-    if props[:3] != ["x", "y", "z"]:
-        raise ParseError("first three properties must be x, y, z", line=header_end)
-    has_label = "label" in props
-    body = lines[header_end:]
-    if len([l for l in body if l.strip()]) != count:
-        raise ParseError(
-            f"vertex count {count} does not match body", line=header_end + len(body)
-        )
-    positions = []
-    labels = []
-    for off, line in enumerate(body):
-        lineno = header_end + 1 + off
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != len(props):
-            raise ParseError(f"expected {len(props)} fields", line=lineno)
-        try:
-            positions.append([float(v) for v in parts[:3]])
-            if has_label:
-                labels.append(int(parts[props.index("label")]))
-        except ValueError:
-            raise ParseError("malformed value", line=lineno) from None
-    return PointCloud(np.asarray(positions), labels=np.asarray(labels) if has_label else None)

@@ -5,7 +5,17 @@ sum-based skip-connection decoder.
 Forward/backward for one network instance is single-threaded: every module
 stores its forward cache and the matching backward must run before the next
 forward. Parameters live in numpy arrays that the optimizer updates in
-place; `params()` / `grads()` expose them under stable dotted names.
+place.
+
+The parameter tree is declared, not restated: a leaf module lists its own
+`(name, param, grad)` triples in `tensors()`, a composite lists its ordered
+`(name, submodule)` pairs in `children()`, and `Module` derives `params()`,
+`grads()` and `zero_grads()` from one depth-first walk that joins names
+with dots. The dotted names are the `model.bin` format, and the walk order
+is part of it too: `save_params` writes tensors in that order,
+`clip_grad_norm` sums squared norms in it and `gradcheck` flattens
+parameters in it. That is why `children()` lists submodules explicitly
+rather than in the order the constructor builds them.
 """
 
 import math
@@ -30,19 +40,29 @@ from .geometry import PointCloud, ball_query, cell_average_subsample, knn
 from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
 
 
-def _prefixed(prefix, d):
-    return {f"{prefix}.{k}": v for k, v in d.items()}
-
-
 class Module:
+    def tensors(self):
+        """This module's own (name, param, grad) triples, in file order."""
+        return ()
+
+    def children(self):
+        """This module's (name, submodule) pairs, in file order."""
+        return ()
+
+    def _walk(self, prefix=""):
+        for name, param, grad in self.tensors():
+            yield prefix + name, param, grad
+        for name, child in self.children():
+            yield from child._walk(f"{prefix}{name}.")
+
     def params(self):
-        return {}
+        return {name: p for name, p, _ in self._walk()}
 
     def grads(self):
-        return {}
+        return {name: g for name, _, g in self._walk()}
 
     def zero_grads(self):
-        for g in self.grads().values():
+        for _, _, g in self._walk():
             g[...] = 0.0
 
 
@@ -71,11 +91,9 @@ class Linear(Module):
         self.g_bias += up.sum(axis=0)
         return up @ self.weights.T
 
-    def params(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self):
-        return {"weights": self.g_weights, "bias": self.g_bias}
+    def tensors(self):
+        yield "weights", self.weights, self.g_weights
+        yield "bias", self.bias, self.g_bias
 
 
 class LayerNorm(Module):
@@ -113,11 +131,9 @@ class LayerNorm(Module):
             - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
         )
 
-    def params(self):
-        return {"scale": self.scale, "shift": self.shift}
-
-    def grads(self):
-        return {"scale": self.g_scale, "shift": self.g_shift}
+    def tensors(self):
+        yield "scale", self.scale, self.g_scale
+        yield "shift", self.shift, self.g_shift
 
 
 class ConvModule(Module):
@@ -149,19 +165,13 @@ class ConvModule(Module):
             self.g_embedding[k] += v
         return g.d_features
 
-    def params(self):
-        out = {"kernel": self.layer.kernel, "projection": self.layer.projection}
-        if self.layer.bias is not None:
-            out["bias"] = self.layer.bias
-        out.update(_prefixed("emb", self.layer.embedding.params()))
-        return out
-
-    def grads(self):
-        out = {"kernel": self.g_kernel, "projection": self.g_projection}
+    def tensors(self):
+        yield "kernel", self.layer.kernel, self.g_kernel
+        yield "projection", self.layer.projection, self.g_projection
         if self.g_bias is not None:
-            out["bias"] = self.g_bias
-        out.update(_prefixed("emb", self.g_embedding))
-        return out
+            yield "bias", self.layer.bias, self.g_bias
+        for k, p in self.layer.embedding.params().items():
+            yield f"emb.{k}", p, self.g_embedding[k]
 
 
 class MetaformerBlock(Module):
@@ -210,23 +220,9 @@ class MetaformerBlock(Module):
         dh = self.mixer.backward(k1 * dx1)
         return dx1 + self.norm1.backward(dh)
 
-    def params(self):
-        out = {}
-        out.update(_prefixed("norm1", self.norm1.params()))
-        out.update(_prefixed("mixer", self.mixer.params()))
-        out.update(_prefixed("norm2", self.norm2.params()))
-        out.update(_prefixed("fc1", self.fc1.params()))
-        out.update(_prefixed("fc2", self.fc2.params()))
-        return out
-
-    def grads(self):
-        out = {}
-        out.update(_prefixed("norm1", self.norm1.grads()))
-        out.update(_prefixed("mixer", self.mixer.grads()))
-        out.update(_prefixed("norm2", self.norm2.grads()))
-        out.update(_prefixed("fc1", self.fc1.grads()))
-        out.update(_prefixed("fc2", self.fc2.grads()))
-        return out
+    def children(self):
+        return [("norm1", self.norm1), ("mixer", self.mixer), ("norm2", self.norm2),
+                ("fc1", self.fc1), ("fc2", self.fc2)]
 
 
 @dataclass
@@ -324,21 +320,24 @@ def default_input_features(cloud):
     return np.stack([np.ones(len(cloud)), z - z.min()], axis=1)
 
 
-def _site_radius(config, level):
-    """Characteristic radius handed to build_embedding: the ball radius, or
-    the estimated average kNN neighbor distance."""
+def _conv_module(config, rng, level, d_in, d_out, site_name):
+    """A point conv bound to `site_name`, its embedding sized for the
+    neighborhood of pyramid level `level`: the ball radius, or the estimated
+    average kNN neighbor distance. Draws the embedding seed, then the layer
+    seed, from `rng`."""
     nb = config.neighborhood
-    cell = config.level_cell(level)
-    if nb.kind == "ball_query":
-        return nb.scale * cell
-    return nb.knn_avg_factor * cell
+    factor = nb.scale if nb.kind == "ball_query" else nb.knn_avg_factor
+    emb = build_embedding(config.embedding, nb.kind, factor * config.level_cell(level),
+                          seed=rng.integers(2**31))
+    layer = init_conv_layer(emb, d_in, d_out, config.embed_dim,
+                            seed=rng.integers(2**31), normalize=config.normalize)
+    return ConvModule(layer, site_name)
 
 
 class Encoder(Module):
     def __init__(self, config, in_features=2, seed=0):
         self.config = config
         rng = np.random.default_rng(seed)
-        nb = config.neighborhood
         self.init_linear = Linear.init(in_features, config.widths[0], rng)
         self.levels = []
         self.transitions = []
@@ -351,27 +350,13 @@ class Encoder(Module):
                 rate = 0.0
                 if total_blocks > 1:
                     rate = config.drop_path_max * depth / (total_blocks - 1)
-                emb = build_embedding(
-                    config.embedding, nb.kind, _site_radius(self.config, lvl), seed=rng.integers(2**31)
-                )
-                layer = init_conv_layer(
-                    emb, width, width, config.embed_dim,
-                    seed=rng.integers(2**31), normalize=config.normalize,
-                )
-                mixer = ConvModule(layer, f"self{lvl}")
+                mixer = _conv_module(config, rng, lvl, width, width, f"self{lvl}")
                 blocks.append(MetaformerBlock(mixer, width, rng, drop_path_rate=rate))
                 depth += 1
             self.levels.append(blocks)
             if lvl + 1 < config.num_levels:
-                emb = build_embedding(
-                    config.embedding, nb.kind, _site_radius(self.config, lvl + 1),
-                    seed=rng.integers(2**31),
-                )
-                layer = init_conv_layer(
-                    emb, width, config.widths[lvl + 1], config.embed_dim,
-                    seed=rng.integers(2**31), normalize=config.normalize,
-                )
-                self.transitions.append(ConvModule(layer, f"down{lvl}"))
+                self.transitions.append(_conv_module(
+                    config, rng, lvl + 1, width, config.widths[lvl + 1], f"down{lvl}"))
 
     def _neighbors(self, query, support, level):
         nb = self.config.neighborhood
@@ -439,22 +424,12 @@ class Encoder(Module):
             else:
                 self.init_linear.backward(d)
 
-    def params(self):
-        out = _prefixed("init", self.init_linear.params())
+    def children(self):
+        # every block before the first transition, unlike construction order
+        out = [("init", self.init_linear)]
         for lvl, blocks in enumerate(self.levels):
-            for bi, block in enumerate(blocks):
-                out.update(_prefixed(f"l{lvl}.b{bi}", block.params()))
-        for lvl, tr in enumerate(self.transitions):
-            out.update(_prefixed(f"down{lvl}", tr.params()))
-        return out
-
-    def grads(self):
-        out = _prefixed("init", self.init_linear.grads())
-        for lvl, blocks in enumerate(self.levels):
-            for bi, block in enumerate(blocks):
-                out.update(_prefixed(f"l{lvl}.b{bi}", block.grads()))
-        for lvl, tr in enumerate(self.transitions):
-            out.update(_prefixed(f"down{lvl}", tr.grads()))
+            out += [(f"l{lvl}.b{bi}", block) for bi, block in enumerate(blocks)]
+        out += [(f"down{lvl}", tr) for lvl, tr in enumerate(self.transitions)]
         return out
 
 
@@ -495,15 +470,8 @@ class ClassificationNetwork(Module):
         d_per_level = [np.zeros_like(f) for f in per_level[:-1]] + [d_last]
         self.encoder.backward(d_per_level)
 
-    def params(self):
-        out = _prefixed("enc", self.encoder.params())
-        out.update(_prefixed("head", self.head.params()))
-        return out
-
-    def grads(self):
-        out = _prefixed("enc", self.encoder.grads())
-        out.update(_prefixed("head", self.head.grads()))
-        return out
+    def children(self):
+        return [("enc", self.encoder), ("head", self.head)]
 
 
 class Decoder(Module):
@@ -517,29 +485,15 @@ class Decoder(Module):
         num = config.num_levels
         final_width = config.widths[0]
         self.skips = [Linear.init(config.widths[l], config.widths[l], rng) for l in range(num)]
-        self.upconvs = []
-        for lvl in range(num - 1):
-            emb = build_embedding(
-                config.embedding, config.neighborhood.kind,
-                _site_radius(config, lvl + 1), seed=rng.integers(2**31),
-            )
-            layer = init_conv_layer(
-                emb, config.widths[lvl + 1], config.widths[lvl], config.embed_dim,
-                seed=rng.integers(2**31), normalize=config.normalize,
-            )
-            self.upconvs.append(ConvModule(layer, f"up{lvl}"))
+        self.upconvs = [
+            _conv_module(config, rng, lvl + 1, config.widths[lvl + 1], config.widths[lvl], f"up{lvl}")
+            for lvl in range(num - 1)
+        ]
         self.direct0 = Linear.init(config.widths[0], final_width, rng)
-        self.directs = []
-        for lvl in range(1, num):
-            emb = build_embedding(
-                config.embedding, config.neighborhood.kind,
-                _site_radius(config, lvl), seed=rng.integers(2**31),
-            )
-            layer = init_conv_layer(
-                emb, config.widths[lvl], final_width, config.embed_dim,
-                seed=rng.integers(2**31), normalize=config.normalize,
-            )
-            self.directs.append(ConvModule(layer, f"direct{lvl}"))
+        self.directs = [
+            _conv_module(config, rng, lvl, config.widths[lvl], final_width, f"direct{lvl}")
+            for lvl in range(1, num)
+        ]
         self.final = Linear.init(final_width, num_classes, rng)
 
     def forward(self, prep, enc_feats):
@@ -552,11 +506,10 @@ class Decoder(Module):
         z = self.direct0.forward(ys[0])
         for lvl in range(1, num):
             z = z + self.directs[lvl - 1].forward(prep, ys[lvl])
-        self._cache = num
         return self.final.forward(z)
 
     def backward(self, d_logits):
-        num = self._cache
+        num = self.config.num_levels
         dz = self.final.backward(d_logits)
         d_ys = [None] * num
         d_ys[0] = self.direct0.backward(dz)
@@ -569,29 +522,14 @@ class Decoder(Module):
         d_enc[num - 1] = self.skips[num - 1].backward(d_ys[num - 1])
         return d_enc
 
-    def params(self):
-        out = {}
-        for lvl, s in enumerate(self.skips):
-            out.update(_prefixed(f"skip{lvl}", s.params()))
-        for lvl, c in enumerate(self.upconvs):
-            out.update(_prefixed(f"up{lvl}", c.params()))
-        out.update(_prefixed("direct0", self.direct0.params()))
-        for lvl, c in enumerate(self.directs):
-            out.update(_prefixed(f"direct{lvl + 1}", c.params()))
-        out.update(_prefixed("final", self.final.params()))
-        return out
-
-    def grads(self):
-        out = {}
-        for lvl, s in enumerate(self.skips):
-            out.update(_prefixed(f"skip{lvl}", s.grads()))
-        for lvl, c in enumerate(self.upconvs):
-            out.update(_prefixed(f"up{lvl}", c.grads()))
-        out.update(_prefixed("direct0", self.direct0.grads()))
-        for lvl, c in enumerate(self.directs):
-            out.update(_prefixed(f"direct{lvl + 1}", c.grads()))
-        out.update(_prefixed("final", self.final.grads()))
-        return out
+    def children(self):
+        return (
+            [(f"skip{lvl}", s) for lvl, s in enumerate(self.skips)]
+            + [(f"up{lvl}", c) for lvl, c in enumerate(self.upconvs)]
+            + [("direct0", self.direct0)]
+            + [(f"direct{lvl + 1}", c) for lvl, c in enumerate(self.directs)]
+            + [("final", self.final)]
+        )
 
 
 class SegmentationNetwork(Module):
@@ -611,22 +549,14 @@ class SegmentationNetwork(Module):
 
     def forward(self, prep, training=False, rng=None):
         enc_feats = self.encoder.forward(prep, training=training, rng=rng)
-        self._enc_feats = enc_feats
         return self.decoder.forward(prep, enc_feats)
 
     def backward(self, d_logits):
         d_enc = self.decoder.backward(d_logits)
         self.encoder.backward(d_enc)
 
-    def params(self):
-        out = _prefixed("enc", self.encoder.params())
-        out.update(_prefixed("dec", self.decoder.params()))
-        return out
-
-    def grads(self):
-        out = _prefixed("enc", self.encoder.grads())
-        out.update(_prefixed("dec", self.decoder.grads()))
-        return out
+    def children(self):
+        return [("enc", self.encoder), ("dec", self.decoder)]
 
 
 _MAGIC = b"PNEW"

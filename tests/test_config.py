@@ -117,8 +117,27 @@ def test_resolve_overrides():
     ("[network]\nwidths = 4\nblocks = 1, 1\n", "network.blocks"),
     ("[network]\ninitial_cell = 0\n", "network.initial_cell"),
     ("[network]\ninitial_cell = big\n", "network.initial_cell"),
+    ("[network]\nwidths =\nblocks =\n", "network.widths"),
+    ("[network]\nwidths = 0, 4\nblocks = 1, 1\n", "network.widths"),
+    ("[network]\nblocks = -1, 1, 1\n", "network.blocks"),
+    ("[network]\nembed_dim = 0\n", "network.embed_dim"),
+    ("[network]\nmlp_dim = 0\n", "network.mlp_dim"),
+    ("[network]\nknn_k = 0\n", "network.knn_k"),
+    ("[network]\ndrop_path_max = 1.5\n", "network.drop_path_max"),
+    ("[network]\nsigma_factor = 0\n", "network.sigma_factor"),
+    ("[network]\nball_scale = -1\n", "network.ball_scale"),
+    ("[training]\nepochs = 0\n", "training.epochs"),
+    ("[training]\nbatch_size = 0\n", "training.batch_size"),
+    ("[training]\nmax_lr = -1\n", "training.max_lr"),
+    ("[training]\nclip_norm = 0\n", "training.clip_norm"),
+    ("[training]\nwarmup_fraction = 1.5\n", "training.warmup_fraction"),
+    ("[data]\npoints = 0\n", "data.points"),
+    ("[data]\ntrain_per_class = 0\n", "data.train_per_class"),
+    ("[data]\ntest_per_class = 0\n", "data.test_per_class"),
+    ("[data]\nnum_scenes = 0\n", "data.num_scenes"),
     ("[training]\nepochs = few\n", "training.epochs"),
     ("[sigma_sweep]\ncorrelations = box\n", "sigma_sweep.correlations"),
+    ("[sigma_sweep]\nfactors = 1, 0\n", "sigma_sweep.factors"),
     ("[extra]\nx = 1\n", "extra"),
 ])
 def test_resolve_validation_errors(text, key):

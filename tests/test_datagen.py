@@ -3,22 +3,14 @@ import pytest
 
 from pne.datagen import (
     SHAPE_KINDS,
-    AugmentationConfig,
     SceneSpec,
     ShapePlacement,
-    augment,
     compose_scene,
     make_classification_dataset,
     make_segmentation_dataset,
     random_rotation,
-    read_ply_ascii,
-    read_xyz,
     sample_shape,
-    write_ply_ascii,
-    write_xyz,
 )
-from pne.errors import ParseError
-from pne.geometry import PointCloud
 
 
 def test_sphere_on_surface():
@@ -63,8 +55,6 @@ def test_random_rotation_orthonormal():
         r = random_rotation(rng)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
-    r = random_rotation(rng, up_axis_only=True)
-    assert np.allclose(r[:, 2], [0, 0, 1])
 
 
 def test_compose_scene_labels():
@@ -89,39 +79,6 @@ def test_scene_needs_shapes():
         SceneSpec([])
 
 
-def test_augment_disabled_is_identity():
-    cloud = sample_shape("cube", 40, seed=8)
-    cfg = AugmentationConfig(rotate=False, mirror_prob=0.0, enable_scale=False,
-                             jitter_sigma=0.0)
-    out = augment(cloud, cfg, seed=9)
-    assert np.array_equal(out.positions, cloud.positions)
-
-
-def test_augment_preserves_labels_and_count():
-    cloud = PointCloud(np.random.default_rng(10).uniform(-1, 1, (30, 3)),
-                       labels=np.arange(30) % 3)
-    out = augment(cloud, AugmentationConfig(jitter_sigma=0.01), seed=11)
-    assert np.array_equal(out.labels, cloud.labels)
-    assert len(out) == 30
-
-
-def test_augment_rotation_preserves_distances():
-    cloud = sample_shape("sphere", 30, seed=12)
-    cfg = AugmentationConfig(rotate=True, mirror_prob=0.0, enable_scale=False)
-    out = augment(cloud, cfg, seed=13)
-    assert np.allclose(np.linalg.norm(out.positions, axis=1),
-                       np.linalg.norm(cloud.positions, axis=1), atol=1e-12)
-
-
-def test_augment_validation():
-    with pytest.raises(ValueError):
-        AugmentationConfig(mirror_prob=2.0)
-    with pytest.raises(ValueError):
-        AugmentationConfig(scale_range=(1.1, 0.9))
-    with pytest.raises(ValueError):
-        AugmentationConfig(jitter_sigma=-1.0)
-
-
 def test_classification_dataset_shapes():
     train, test = make_classification_dataset(
         n_per_class_train=3, n_per_class_test=2, n_points=32, seed=14)
@@ -139,61 +96,3 @@ def test_segmentation_dataset():
         assert scene.labels is not None
         assert scene.labels.max() < len(SHAPE_KINDS)
         assert len(scene) % 16 == 0
-
-
-def test_xyz_roundtrip(tmp_path):
-    cloud = PointCloud(np.array([[1.0, 2.0, 3.0], [-0.5, 0.25, 1e-7]]),
-                       labels=np.array([0, 2]))
-    path = tmp_path / "cloud.xyz"
-    write_xyz(path, cloud)
-    back = read_xyz(path)
-    assert np.allclose(back.positions, cloud.positions, atol=1e-9)
-    assert np.array_equal(back.labels, cloud.labels)
-
-
-def test_xyz_simple_line(tmp_path):
-    path = tmp_path / "one.xyz"
-    path.write_text("1.0 2.0 3.0\n")
-    cloud = read_xyz(path)
-    assert np.array_equal(cloud.positions, [[1.0, 2.0, 3.0]])
-    assert cloud.labels is None
-
-
-def test_xyz_parse_error_line_number(tmp_path):
-    path = tmp_path / "bad.xyz"
-    path.write_text("0 0 0\n1 2\n")
-    with pytest.raises(ParseError) as err:
-        read_xyz(path)
-    assert err.value.line == 2
-    path.write_text("0 0 zero\n")
-    with pytest.raises(ParseError) as err:
-        read_xyz(path)
-    assert err.value.line == 1
-
-
-def test_ply_roundtrip(tmp_path):
-    cloud = PointCloud(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]),
-                       labels=np.array([1, 0]))
-    path = tmp_path / "cloud.ply"
-    write_ply_ascii(path, cloud)
-    back = read_ply_ascii(path)
-    assert np.allclose(back.positions, cloud.positions)
-    assert np.array_equal(back.labels, cloud.labels)
-    text = path.read_text()
-    assert text.startswith("ply\nformat ascii 1.0\n")
-
-
-def test_ply_errors(tmp_path):
-    path = tmp_path / "bad.ply"
-    path.write_text("not a ply\n")
-    with pytest.raises(ParseError):
-        read_ply_ascii(path)
-    path.write_text("ply\nformat binary_little_endian 1.0\n")
-    with pytest.raises(ParseError) as err:
-        read_ply_ascii(path)
-    assert err.value.line == 2
-    path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
-                    "property double x\nproperty double y\nproperty double z\n"
-                    "end_header\n0 0 0\n")
-    with pytest.raises(ParseError):
-        read_ply_ascii(path)

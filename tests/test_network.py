@@ -188,26 +188,73 @@ def test_segmentation_level0_labels_majority():
     assert np.array_equal(prep.clouds[0].labels, sub.labels)
 
 
+LINEAR = ["weights", "bias"]
+NORM = ["scale", "shift"]
+CONV = ["kernel", "projection", "bias", "emb.weights", "emb.biases"]
+BLOCK = ([f"norm1.{n}" for n in NORM] + [f"mixer.{n}" for n in CONV] + [f"norm2.{n}" for n in NORM]
+         + [f"fc1.{n}" for n in LINEAR] + [f"fc2.{n}" for n in LINEAR])
+
+
+def _under(prefix, names):
+    return [f"{prefix}.{n}" for n in names]
+
+
+# the model.bin tensor order of a 3-level net with blocks_per_level [2, 1, 2]:
+# every encoder block comes before the first down transition
+ENCODER_NAMES = (
+    _under("init", LINEAR)
+    + [n for b in ("l0.b0", "l0.b1", "l1.b0", "l2.b0", "l2.b1") for n in _under(b, BLOCK)]
+    + _under("down0", CONV) + _under("down1", CONV)
+)
+DECODER_NAMES = (
+    _under("skip0", LINEAR) + _under("skip1", LINEAR) + _under("skip2", LINEAR)
+    + _under("up0", CONV) + _under("up1", CONV)
+    + _under("direct0", LINEAR) + _under("direct1", CONV) + _under("direct2", CONV)
+    + _under("final", LINEAR)
+)
+NETWORKS = [
+    (ClassificationNetwork, _under("enc", ENCODER_NAMES) + _under("head", LINEAR)),
+    (SegmentationNetwork, _under("enc", ENCODER_NAMES) + _under("dec", DECODER_NAMES)),
+]
+
+
+def tree_config():
+    return make_config(widths=[4, 6, 8], blocks_per_level=[2, 1, 2],
+                       embedding=EmbeddingSpec(kind="mlp", activation="gelu", mlp_dim=4))
+
+
 def test_params_and_grads_aligned():
-    net = ClassificationNetwork(make_config(), num_classes=3, seed=19)
-    params = net.params()
-    grads = net.grads()
-    assert set(params) == set(grads)
-    for k in params:
-        assert params[k].shape == grads[k].shape
-    net.zero_grads()
-    assert all(np.all(g == 0.0) for g in net.grads().values())
+    cloud = random_cloud(100, seed=19, labeled=True)
+    for network, names in NETWORKS:
+        net = network(tree_config(), num_classes=3, seed=19)
+        params = net.params()
+        grads = net.grads()
+        assert list(params) == names
+        assert list(grads) == names
+        for k in params:
+            assert params[k].shape == grads[k].shape
+        # live arrays: the optimizer and the loaders write through these
+        assert params["enc.init.weights"] is net.encoder.init_linear.weights
+        mixer = net.encoder.levels[2][1].mixer
+        assert params["enc.l2.b1.mixer.emb.biases"] is mixer.layer.embedding.biases
+        assert grads["enc.l2.b1.mixer.emb.biases"] is mixer.g_embedding["biases"]
+        assert all(a is b for a, b in zip(net.params().values(), params.values()))
+        prep = net.prepare(cloud)
+        net.backward(np.ones_like(net.forward(prep)))
+        assert all(np.any(g != 0.0) for g in grads.values())
+        net.zero_grads()
+        assert all(np.all(g == 0.0) for g in grads.values())
 
 
 def test_save_load_roundtrip(tmp_path):
-    net = ClassificationNetwork(make_config(), num_classes=3, seed=20)
-    params = net.params()
-    path = tmp_path / "model.bin"
-    save_params(path, params)
-    loaded = load_params(path)
-    assert set(loaded) == set(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
+    for network, names in NETWORKS:
+        params = network(tree_config(), num_classes=3, seed=20).params()
+        path = tmp_path / f"{network.__name__}.bin"
+        save_params(path, params)
+        loaded = load_params(path)
+        assert list(loaded) == names
+        for k in params:
+            assert np.array_equal(loaded[k], params[k])
 
 
 def test_load_rejects_garbage(tmp_path):
