@@ -13,9 +13,8 @@ rng = np.random.default_rng(0)
 cloud = PointCloud(rng.uniform(-1, 1, size=(400, 3)))
 
 # subsample: replace the points of each 0.25-cell by their centroid
-sub, parents = cell_average_subsample(cloud, 0.25)
+sub = cell_average_subsample(cloud, 0.25)
 print(f"{len(cloud)} points -> {len(sub)} cell centroids")
-assert sum(len(p) for p in parents) == len(cloud)
 
 # ball query: every centroid collects raw points within 2 cells
 nl = ball_query(sub, cloud, radius=0.5)

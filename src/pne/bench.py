@@ -1,7 +1,6 @@
-"""Benchmark harness: the embedding x neighborhood grid, the sigma sweep,
-the receptive-field variance study, and the aggregated gradient-check
-report. All commands emit a CSV plus a JSON sidecar with the fully
-resolved configuration.
+"""Benchmark harness: the embedding x neighborhood grid, the sigma sweep
+and the receptive-field variance study. Each emits a CSV plus a JSON
+sidecar with the fully resolved configuration.
 
 Reruns with identical config and seeds are byte-identical: rows are sorted
 before writing, floats use fixed formatting, and when PNE_DETERMINISTIC=1
@@ -10,6 +9,7 @@ column).
 """
 
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
-from .embeddings import KernelPointEmbedding, icosahedron_kernel_points
+from .embeddings import KernelPointEmbedding, default_kernel_layout, icosahedron_kernel_points
 from .errors import ConfigError
 from .geometry import ball_query, cell_average_subsample, farthest_distances, knn
 from .network import (
@@ -121,20 +121,24 @@ def _build_model(cfg, emb_name, neigh_name, seed):
     return ClassificationNetwork(enc_cfg, len(SHAPE_KINDS), seed=seed)
 
 
-def run_cell(cfg, emb_name, neigh_name, seed, datasets=None, preps=None):
-    """Train and evaluate one grid cell. Returns a result-row dict."""
-    start = time.perf_counter()
+def prepare_splits(cfg, neigh_name, datasets):
+    """The (train, test) prepared samples of `datasets` for one neighborhood.
+    Sites do not depend on the embedding or the seed, so one preparation
+    serves every cell of that neighborhood."""
+    ref = _build_model(cfg, "none", neigh_name, seed=0)
     segmentation = cfg.task == "segmentation"
+    return tuple(prepare_dataset(ref, split, segmentation) for split in datasets)
+
+
+def run_cell(cfg, emb_name, neigh_name, seed, preps):
+    """Train and evaluate one grid cell on `preps`, its (train, test)
+    prepared samples. Returns a result-row dict."""
+    start = time.perf_counter()
     model = _build_model(cfg, emb_name, neigh_name, seed)
-    if preps is None:
-        train_raw, test_raw = datasets if datasets is not None else build_datasets(cfg)
-        train = prepare_dataset(model, train_raw, segmentation)
-        test = prepare_dataset(model, test_raw, segmentation)
-    else:
-        train, test = preps
+    train, test = preps
     _, log = train_loop(
         model, train, test, train_config(cfg), num_classes=len(SHAPE_KINDS), seed=seed,
-        segmentation=segmentation,
+        segmentation=cfg.task == "segmentation",
     )
     final = log[-1]
     emb_label, variant = embedding_spec_from_name(emb_name, cfg).label()
@@ -206,12 +210,7 @@ def cmd_grid(cfg, out_dir):
     instead of aborting the run."""
     os.makedirs(out_dir, exist_ok=True)
     datasets = build_datasets(cfg)
-    segmentation = cfg.task == "segmentation"
-    preps = {}
-    for neigh in cfg.neighborhoods:
-        ref = _build_model(cfg, "none", neigh, seed=0)
-        preps[neigh] = (prepare_dataset(ref, datasets[0], segmentation),
-                        prepare_dataset(ref, datasets[1], segmentation))
+    preps = {neigh: prepare_splits(cfg, neigh, datasets) for neigh in cfg.neighborhoods}
 
     def run(emb, neigh, seed):
         try:
@@ -239,8 +238,6 @@ def cmd_grid(cfg, out_dir):
 def triangular_zero_support_fraction(radius, sigma_factor, n_samples=20000, seed=0):
     """Fraction of receptive-field offsets whose Triangular embedding is
     all-zero (support smaller than the receptive field)."""
-    from .embeddings import default_kernel_layout
-
     shell, sigma = default_kernel_layout("ball_query", radius, sigma_factor)
     emb = KernelPointEmbedding(icosahedron_kernel_points(shell), sigma, "triangular")
     rng = np.random.default_rng(seed)
@@ -258,38 +255,28 @@ def cmd_sigma_sweep(cfg, out_dir):
         raise ConfigError("sigma sweep requires the classification task",
                           key="experiment.task")
     os.makedirs(out_dir, exist_ok=True)
-    datasets = build_datasets(cfg)
+    preps = prepare_splits(cfg, "ball_query", build_datasets(cfg))
     radius = cfg.ball_scale * cfg.initial_cell
     rows = []
     for correlation in cfg.sweep_correlations:
         for factor in cfg.sweep_factors:
             coverage = triangular_zero_support_fraction(radius, factor)
-            sweep_cfg = _with_sigma(cfg, factor)
+            sweep_cfg = dataclasses.replace(cfg, sigma_factor=factor)
             for seed in cfg.seeds:
-                start = time.perf_counter()
-                row = run_cell(sweep_cfg, f"kp:{correlation}", "ball_query", seed,
-                               datasets=datasets)
+                row = run_cell(sweep_cfg, f"kp:{correlation}", "ball_query", seed, preps)
                 rows.append({
                     "correlation": correlation,
                     "sigma_factor": factor,
                     "seed": seed,
                     "oa": row["oa"],
                     "triangular_zero_support_fraction": coverage,
-                    "wall_seconds": _wall(time.perf_counter() - start),
+                    "wall_seconds": row["wall_seconds"],
                 })
     csv_path = os.path.join(out_dir, "sigma_sweep.csv")
     write_csv(csv_path, ["correlation", "sigma_factor", "seed", "oa",
                          "triangular_zero_support_fraction", "wall_seconds"], rows)
     write_sidecar(csv_path, cfg)
     return csv_path, rows
-
-
-def _with_sigma(cfg, factor):
-    import copy
-
-    out = copy.deepcopy(cfg)
-    out.sigma_factor = factor
-    return out
 
 
 def pyramid_neighbor_stats(clouds, initial_cell, num_levels, method, k=16, scale=2.0):
@@ -300,7 +287,7 @@ def pyramid_neighbor_stats(clouds, initial_cell, num_levels, method, k=16, scale
         cur = cloud
         for lvl in range(num_levels):
             cell = initial_cell * 2.0**lvl
-            cur, _ = cell_average_subsample(cur, cell)
+            cur = cell_average_subsample(cur, cell)
             if method == "knn":
                 nl = knn(cur, cur, k)
             else:

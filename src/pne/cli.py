@@ -1,8 +1,11 @@
 """Benchmark command-line interface.
 
-Subcommands: grid, sigma-sweep, neigh-stats, gradcheck, train, eval.
-Common flags: --config PATH, --out DIR, --seeds LIST.
-PNE_DETERMINISTIC=1 makes every CSV byte-identical across reruns.
+grid, sigma-sweep and neigh-stats write a CSV plus a JSON sidecar to --out;
+train writes model.bin and log.csv there and prints the final test metrics;
+eval prints the test metrics of a saved model.bin; gradcheck prints the
+finite-difference report. Each subcommand takes only the flags it reads
+(`pne <command> -h`). PNE_DETERMINISTIC=1 makes every CSV byte-identical
+across reruns.
 """
 
 import argparse
@@ -18,20 +21,17 @@ from .network import load_params, save_params
 from .training import _evaluate, train_loop
 
 
-def _load_experiment(args):
+def _config(args):
     if args.config is None:
-        cfg = ExperimentConfig()
-    else:
-        cfg = resolve_experiment(load_config(args.config))
+        return ExperimentConfig()
+    return resolve_experiment(load_config(args.config))
+
+
+def _load_experiment(args):
+    cfg = _config(args)
     if args.seeds is not None:
         cfg.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     return cfg
-
-
-def _add_common(parser):
-    parser.add_argument("--config", default=None, help="experiment config file")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seeds", default=None, help="comma-separated seed list")
 
 
 def cmd_grid(args):
@@ -84,11 +84,12 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_experiment(args)
+    cfg = _config(args)
     emb = args.embedding or cfg.embeddings[0]
     neigh = args.neighborhood or cfg.neighborhoods[0]
     segmentation = cfg.task == "segmentation"
-    model = bench._build_model(cfg, emb, neigh, seed=cfg.seeds[0])
+    # the seed does not matter: every parameter is overwritten from the file
+    model = bench._build_model(cfg, emb, neigh, seed=0)
     saved = load_params(args.params)
     params = model.params()
     missing = sorted(set(params) ^ set(saved))
@@ -110,22 +111,29 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pne", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    handlers = {
-        "grid": (cmd_grid, "run the embedding x neighborhood benchmark grid"),
-        "sigma-sweep": (cmd_sigma_sweep, "accuracy across kernel-width factors"),
-        "neigh-stats": (cmd_neigh_stats, "receptive-field variance per pyramid level"),
-        "gradcheck": (cmd_gradcheck, "verify all analytic gradients"),
-        "train": (cmd_train, "train one model, save parameters and log"),
-        "eval": (cmd_eval, "evaluate saved parameters on the test set"),
+    flags = {
+        "--config": dict(default=None, help="experiment config file"),
+        "--out": dict(default="out", help="output directory"),
+        "--seeds": dict(default=None, help="comma-separated seed list"),
+        "--embedding": dict(default=None),
+        "--neighborhood": dict(default=None),
+        "--params": dict(required=True, help="model.bin path"),
     }
-    for name, (fn, help_text) in handlers.items():
+    run = ("--config", "--out", "--seeds")
+    model = ("--embedding", "--neighborhood")
+    handlers = {
+        "grid": (cmd_grid, "run the embedding x neighborhood benchmark grid", run),
+        "sigma-sweep": (cmd_sigma_sweep, "accuracy across kernel-width factors", run),
+        "neigh-stats": (cmd_neigh_stats, "receptive-field variance per pyramid level", run),
+        "gradcheck": (cmd_gradcheck, "verify all analytic gradients", ()),
+        "train": (cmd_train, "train one model, save parameters and log", run + model),
+        "eval": (cmd_eval, "evaluate saved parameters on the test set",
+                 ("--config",) + model + ("--params",)),
+    }
+    for name, (fn, help_text, names) in handlers.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name in ("train", "eval"):
-            p.add_argument("--embedding", default=None)
-            p.add_argument("--neighborhood", default=None)
-        if name == "eval":
-            p.add_argument("--params", required=True, help="model.bin path")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(handler=fn)
     return parser
 

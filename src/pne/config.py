@@ -10,6 +10,7 @@ Parse errors carry line numbers; value errors carry the ``section.key``
 path.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParseError
@@ -199,17 +200,22 @@ def resolve_experiment(sections):
     cfg.batch_size = v.get_int("training", "batch_size", cfg.batch_size, minimum=1)
     cfg.max_lr = v.get_float("training", "max_lr", cfg.max_lr, positive=True)
     cfg.weight_decay = v.get_float("training", "weight_decay", cfg.weight_decay)
+    if not 0.0 <= cfg.weight_decay < math.inf:
+        raise ConfigError("must be finite and >= 0", key="training.weight_decay")
     cfg.clip_norm = v.get_float("training", "clip_norm", cfg.clip_norm, positive=True)
     cfg.warmup_fraction = v.get_float("training", "warmup_fraction", cfg.warmup_fraction)
     if not 0.0 < cfg.warmup_fraction < 1.0:
         raise ConfigError("must be in (0, 1)", key="training.warmup_fraction")
-    early = v.get_float("training", "early_stop_oa", cfg.early_stop_oa)
-    cfg.early_stop_oa = early
+    cfg.early_stop_oa = v.get_float("training", "early_stop_oa", cfg.early_stop_oa)
+    if cfg.early_stop_oa is not None and not 0.0 <= cfg.early_stop_oa <= 1.0:
+        raise ConfigError("must be in [0, 1]", key="training.early_stop_oa")
 
     cfg.train_per_class = v.get_int("data", "train_per_class", cfg.train_per_class, minimum=1)
     cfg.test_per_class = v.get_int("data", "test_per_class", cfg.test_per_class, minimum=1)
     cfg.points = v.get_int("data", "points", cfg.points, minimum=1)
     cfg.noise_sigma = v.get_float("data", "noise_sigma", cfg.noise_sigma)
+    if not 0.0 <= cfg.noise_sigma < math.inf:
+        raise ConfigError("must be finite and >= 0", key="data.noise_sigma")
     cfg.data_seed = v.get_int("data", "seed", cfg.data_seed)
     cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
 

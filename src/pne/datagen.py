@@ -132,10 +132,10 @@ def compose_scene(spec, n_per_shape, noise_sigma=0.0, seed=0):
 
 
 def make_classification_dataset(n_per_class_train=200, n_per_class_test=50,
-                                n_points=256, noise_sigma=0.01, seed=0,
-                                scale_range=(0.8, 1.2)):
+                                n_points=256, noise_sigma=0.01, seed=0):
     """Class-balanced 4-shape dataset: each instance gets its own random
-    rotation and scale. Returns (train, test) lists of (cloud, class_id)."""
+    rotation and a scale in [0.8, 1.2]. Returns (train, test) lists of
+    (cloud, class_id)."""
     rng = np.random.default_rng(seed)
 
     def build(count):
@@ -144,7 +144,7 @@ def make_classification_dataset(n_per_class_train=200, n_per_class_test=50,
             for _ in range(count):
                 cloud = sample_shape(kind, n_points, noise_sigma, seed=rng.integers(2**31))
                 pts = cloud.positions @ random_rotation(rng).T
-                pts = pts * rng.uniform(*scale_range)
+                pts = pts * rng.uniform(0.8, 1.2)
                 out.append((PointCloud(pts), class_id))
         return out
 

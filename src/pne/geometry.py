@@ -20,16 +20,11 @@ from .errors import ShapeError, StatisticsError
 
 @dataclass
 class PointCloud:
-    """Positions with optional per-point features and labels.
-
-    `cell_size` records the subsampling cell that produced this cloud
-    (None for raw input clouds).
-    """
+    """Positions with optional per-point features and labels."""
 
     positions: np.ndarray
     features: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
-    cell_size: Optional[float] = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -48,8 +43,6 @@ class PointCloud:
                 raise ShapeError("labels length must match positions")
             if n and self.labels.min() < 0:
                 raise ValueError("labels must be non-negative")
-        if self.cell_size is not None and self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
 
     def __len__(self):
         return len(self.positions)
@@ -96,8 +89,7 @@ def cell_average_subsample(cloud, cell_size):
     """Replace the points of each non-empty cell by their centroid.
 
     Features are averaged, labels take the majority vote (ties -> smallest
-    class id). Returns the subsampled cloud and a parent map: one input
-    index array per output point, partitioning the input.
+    class id). Returns the subsampled cloud.
     """
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
@@ -120,11 +112,7 @@ def cell_average_subsample(cloud, cell_size):
         votes = np.bincount(inverse * num_classes + cloud.labels,
                             minlength=len(counts) * num_classes)
         labels = votes.reshape(len(counts), num_classes).argmax(axis=1)
-    members = np.argsort(inverse, kind="stable")
-    parent_map = np.split(members, np.cumsum(counts)[:-1]) if len(counts) else []
-
-    out = PointCloud(positions, features=features, labels=labels, cell_size=float(cell_size))
-    return out, parent_map
+    return PointCloud(positions, features=features, labels=labels)
 
 
 # Relative slack on candidate radii. The tree sums squared coordinate

@@ -102,10 +102,11 @@ class LayerNorm(Module):
     Chosen over batch statistics to avoid coupling across variable-size
     clouds."""
 
-    def __init__(self, dim, eps=1e-5):
+    EPS = 1e-5
+
+    def __init__(self, dim):
         self.scale = np.ones(dim)
         self.shift = np.zeros(dim)
-        self.eps = eps
         self.g_scale = np.zeros(dim)
         self.g_shift = np.zeros(dim)
         self._cache = None
@@ -114,7 +115,7 @@ class LayerNorm(Module):
         mu = x.mean(axis=1, keepdims=True)
         xc = x - mu
         var = np.square(xc).mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + self.EPS)
         xhat = xc * inv
         self._cache = (xhat, inv)
         return xhat * self.scale + self.shift
@@ -137,14 +138,15 @@ class LayerNorm(Module):
 
 
 class ConvModule(Module):
-    """A ConvLayer bound to a named geometry site of the prepared sample."""
+    """A ConvLayer with a bias, as `init_conv_layer` builds it, bound to a
+    named geometry site of the prepared sample."""
 
     def __init__(self, layer, site_name):
         self.layer = layer
         self.site_name = site_name
         self.g_kernel = np.zeros_like(layer.kernel)
         self.g_projection = np.zeros_like(layer.projection)
-        self.g_bias = np.zeros_like(layer.bias) if layer.bias is not None else None
+        self.g_bias = np.zeros_like(layer.bias)
         self.g_embedding = {k: np.zeros_like(v) for k, v in layer.embedding.params().items()}
         self._cache = None
 
@@ -159,8 +161,7 @@ class ConvModule(Module):
         g = _backward_site(self.layer, site, features, up, cache)
         self.g_kernel += g.d_kernel
         self.g_projection += g.d_projection
-        if self.g_bias is not None:
-            self.g_bias += g.d_bias
+        self.g_bias += g.d_bias
         for k, v in g.d_embedding_params.items():
             self.g_embedding[k] += v
         return g.d_features
@@ -168,8 +169,7 @@ class ConvModule(Module):
     def tensors(self):
         yield "kernel", self.layer.kernel, self.g_kernel
         yield "projection", self.layer.projection, self.g_projection
-        if self.g_bias is not None:
-            yield "bias", self.layer.bias, self.g_bias
+        yield "bias", self.layer.bias, self.g_bias
         for k, p in self.layer.embedding.params().items():
             yield f"emb.{k}", p, self.g_embedding[k]
 
@@ -270,12 +270,15 @@ def build_embedding(spec, neighborhood_kind, radius, seed):
     raise ValueError(f"unknown embedding kind: {spec.kind!r}")
 
 
+# estimated average kNN neighbor distance r', in cell sizes
+KNN_AVG_FACTOR = 1.5
+
+
 @dataclass
 class NeighborhoodSpec:
     kind: str            # "knn" | "ball_query"
     k: int = 16
     scale: float = 2.0   # ball radius = scale * cell size
-    knn_avg_factor: float = 1.5  # r' estimate = factor * cell size
 
 
 @dataclass
@@ -287,7 +290,6 @@ class EncoderConfig:
     embedding: EmbeddingSpec
     embed_dim: int = 16
     drop_path_max: float = 0.0
-    normalize: str = "mean"
 
     def __post_init__(self):
         if len(self.widths) != len(self.blocks_per_level):
@@ -314,6 +316,10 @@ class PreparedSample:
     label: Optional[int] = None
 
 
+# the width of default_input_features
+IN_FEATURES = 2
+
+
 def default_input_features(cloud):
     """Constant 1 plus height above the cloud minimum."""
     z = cloud.positions[:, 2]
@@ -326,19 +332,18 @@ def _conv_module(config, rng, level, d_in, d_out, site_name):
     average kNN neighbor distance. Draws the embedding seed, then the layer
     seed, from `rng`."""
     nb = config.neighborhood
-    factor = nb.scale if nb.kind == "ball_query" else nb.knn_avg_factor
+    factor = nb.scale if nb.kind == "ball_query" else KNN_AVG_FACTOR
     emb = build_embedding(config.embedding, nb.kind, factor * config.level_cell(level),
                           seed=rng.integers(2**31))
-    layer = init_conv_layer(emb, d_in, d_out, config.embed_dim,
-                            seed=rng.integers(2**31), normalize=config.normalize)
+    layer = init_conv_layer(emb, d_in, d_out, config.embed_dim, seed=rng.integers(2**31))
     return ConvModule(layer, site_name)
 
 
 class Encoder(Module):
-    def __init__(self, config, in_features=2, seed=0):
+    def __init__(self, config, seed=0):
         self.config = config
         rng = np.random.default_rng(seed)
-        self.init_linear = Linear.init(in_features, config.widths[0], rng)
+        self.init_linear = Linear.init(IN_FEATURES, config.widths[0], rng)
         self.levels = []
         self.transitions = []
         total_blocks = sum(config.blocks_per_level)
@@ -364,20 +369,16 @@ class Encoder(Module):
             return ball_query(query, support, nb.scale * self.config.level_cell(level))
         return knn(query, support, nb.k)
 
-    def prepare(self, cloud, initial_features=None, for_decoder=False):
+    def prepare(self, cloud, for_decoder=False):
         """Build the pyramid and every neighbor site this network will use."""
         if len(cloud) == 0:
             raise DegenerateInputError("input cloud is empty")
         cfg = self.config
-        if initial_features is None:
-            initial_features = default_input_features(cloud)
-        base = PointCloud(
-            cloud.positions, features=initial_features, labels=cloud.labels
-        )
+        cur = PointCloud(cloud.positions, features=default_input_features(cloud),
+                         labels=cloud.labels)
         clouds = []
-        cur = base
         for lvl in range(cfg.num_levels):
-            cur, _ = cell_average_subsample(cur, cfg.level_cell(lvl))
+            cur = cell_average_subsample(cur, cfg.level_cell(lvl))
             if len(cur) == 0:
                 raise DegenerateInputError(f"pyramid level {lvl} is empty")
             clouds.append(cur)
@@ -444,8 +445,8 @@ def classify(per_level_feats, head):
 
 
 class ClassificationNetwork(Module):
-    def __init__(self, config, num_classes, in_features=2, seed=0):
-        self.encoder = Encoder(config, in_features=in_features, seed=seed)
+    def __init__(self, config, num_classes, seed=0):
+        self.encoder = Encoder(config, seed=seed)
         rng = np.random.default_rng(np.random.default_rng(seed).integers(2**31) + 1)
         self.head = Linear.init(config.widths[-1], num_classes, rng)
         self._cache = None
@@ -454,8 +455,8 @@ class ClassificationNetwork(Module):
     def config(self):
         return self.encoder.config
 
-    def prepare(self, cloud, initial_features=None):
-        return self.encoder.prepare(cloud, initial_features=initial_features)
+    def prepare(self, cloud):
+        return self.encoder.prepare(cloud)
 
     def forward(self, prep, training=False, rng=None):
         per_level = self.encoder.forward(prep, training=training, rng=rng)
@@ -536,16 +537,16 @@ class SegmentationNetwork(Module):
     """Encoder + skip-connection decoder; logits live on the first
     down-scaled cloud (its majority labels are the training targets)."""
 
-    def __init__(self, config, num_classes, in_features=2, seed=0):
-        self.encoder = Encoder(config, in_features=in_features, seed=seed)
+    def __init__(self, config, num_classes, seed=0):
+        self.encoder = Encoder(config, seed=seed)
         self.decoder = Decoder(config, num_classes, seed=np.random.default_rng(seed).integers(2**31) + 7)
 
     @property
     def config(self):
         return self.encoder.config
 
-    def prepare(self, cloud, initial_features=None):
-        return self.encoder.prepare(cloud, initial_features=initial_features, for_decoder=True)
+    def prepare(self, cloud):
+        return self.encoder.prepare(cloud, for_decoder=True)
 
     def forward(self, prep, training=False, rng=None):
         enc_feats = self.encoder.forward(prep, training=training, rng=rng)

@@ -244,7 +244,7 @@ def _truncated_normal(rng, std, size, clip=2.0):
 
 
 def init_conv_layer(embedding, in_features, out_features, embed_dim=16, seed=0,
-                    bias=True, normalize=MEAN):
+                    normalize=MEAN):
     """Kernel ~ N(0, 1/(E_c * I)) truncated at 2 std; projection ~ N(0, 1/E_raw);
     bias zero. Deterministic per seed."""
     if min(in_features, out_features, embed_dim) < 1:
@@ -256,5 +256,5 @@ def init_conv_layer(embedding, in_features, out_features, embed_dim=16, seed=0,
     projection = rng.standard_normal((embedding.raw_dim, embed_dim)) * np.sqrt(
         1.0 / embedding.raw_dim
     )
-    b = np.zeros(out_features) if bias else None
-    return ConvLayer(embedding, projection, kernel, bias=b, normalize=normalize)
+    return ConvLayer(embedding, projection, kernel, bias=np.zeros(out_features),
+                     normalize=normalize)

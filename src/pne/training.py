@@ -170,8 +170,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     max_lr: float = 0.005
-    div_factor: float = 10.0
-    final_factor: float = 1000.0
     warmup_fraction: float = 0.3
     weight_decay: float = 1e-4
     clip_norm: float = 100.0
@@ -205,8 +203,6 @@ def train_loop(model, train_set, test_set, config, num_classes, seed=0,
     steps_per_epoch = max(1, int(np.ceil(len(train_set) / config.batch_size)))
     schedule = OneCycleSchedule(
         max_lr=config.max_lr,
-        div_factor=config.div_factor,
-        final_factor=config.final_factor,
         warmup_fraction=config.warmup_fraction,
         total_steps=config.epochs * steps_per_epoch,
     )

@@ -110,6 +110,24 @@ def test_sigma_sweep_rows_and_support(tmp_path, monkeypatch):
                       "triangular_zero_support_fraction,wall_seconds")
 
 
+def test_sigma_sweep_prepares_each_cloud_once(tmp_path, monkeypatch):
+    from pne.network import Encoder
+
+    calls = []
+    real = Encoder.prepare
+
+    def counting(self, cloud, **kw):
+        calls.append(cloud)
+        return real(self, cloud, **kw)
+
+    monkeypatch.setattr(Encoder, "prepare", counting)
+    cfg = tiny_cfg(seeds=[0, 1], sweep_factors=[0.25, 1.0], sweep_correlations=["triangular"])
+    _, rows = bench.cmd_sigma_sweep(cfg, str(tmp_path))
+    assert len(rows) == 4  # 2 factors x 2 seeds
+    # 4 shape classes x (train_per_class + test_per_class) clouds
+    assert len(calls) == 4 * (cfg.train_per_class + cfg.test_per_class)
+
+
 def test_sigma_sweep_rejects_segmentation(tmp_path):
     from pne.errors import ConfigError
 
@@ -211,7 +229,7 @@ def test_cli_train_eval_roundtrip(tmp_path, monkeypatch, capsys):
     train_line = capsys.readouterr().out.strip().splitlines()[-1]
     assert (out / "model.bin").exists()
     assert (out / "log.csv").exists()
-    rc = cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+    rc = cli.main(["eval", "--config", str(cfg_path),
                    "--params", str(out / "model.bin")])
     assert rc == 0
     eval_line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -227,13 +245,13 @@ def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch, capsys):
     wide = tmp_path / "wide.cfg"
     wide.write_text(TINY_CFG_TEXT.replace("widths = 4", "widths = 8"))
     capsys.readouterr()
-    rc = cli.main(["eval", "--config", str(wide), "--out", str(out),
+    rc = cli.main(["eval", "--config", str(wide),
                    "--params", str(out / "model.bin")])
     assert rc == 2
     assert "saved shape" in capsys.readouterr().err
     model = out / "model.bin"
     model.write_bytes(model.read_bytes()[:-5])
-    rc = cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+    rc = cli.main(["eval", "--config", str(cfg_path),
                    "--params", str(model)])
     assert rc == 2
     assert "file truncated" in capsys.readouterr().err
@@ -243,14 +261,28 @@ def test_cli_missing_params_or_config_file_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(TINY_CFG_TEXT)
     missing_params = tmp_path / "missing.bin"
-    rc = cli.main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+    rc = cli.main(["eval", "--config", str(cfg_path),
                    "--params", str(missing_params)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(missing_params) in err
     missing_cfg = tmp_path / "missing.cfg"
-    rc = cli.main(["eval", "--config", str(missing_cfg), "--out", str(tmp_path),
+    rc = cli.main(["eval", "--config", str(missing_cfg),
                    "--params", str(missing_params)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(missing_cfg) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--config", "x.cfg"],
+    ["gradcheck", "--out", "x"],
+    ["gradcheck", "--seeds", "1"],
+    ["eval", "--params", "m.bin", "--out", "x"],
+    ["eval", "--params", "m.bin", "--seeds", "1"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -131,10 +131,19 @@ def test_resolve_overrides():
     ("[training]\nmax_lr = -1\n", "training.max_lr"),
     ("[training]\nclip_norm = 0\n", "training.clip_norm"),
     ("[training]\nwarmup_fraction = 1.5\n", "training.warmup_fraction"),
+    ("[training]\nweight_decay = -1\n", "training.weight_decay"),
+    ("[training]\nweight_decay = nan\n", "training.weight_decay"),
+    ("[training]\nweight_decay = inf\n", "training.weight_decay"),
+    ("[training]\nearly_stop_oa = 2\n", "training.early_stop_oa"),
+    ("[training]\nearly_stop_oa = -0.5\n", "training.early_stop_oa"),
+    ("[training]\nearly_stop_oa = nan\n", "training.early_stop_oa"),
     ("[data]\npoints = 0\n", "data.points"),
     ("[data]\ntrain_per_class = 0\n", "data.train_per_class"),
     ("[data]\ntest_per_class = 0\n", "data.test_per_class"),
     ("[data]\nnum_scenes = 0\n", "data.num_scenes"),
+    ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
+    ("[data]\nnoise_sigma = nan\n", "data.noise_sigma"),
+    ("[data]\nnoise_sigma = inf\n", "data.noise_sigma"),
     ("[training]\nepochs = few\n", "training.epochs"),
     ("[sigma_sweep]\ncorrelations = box\n", "sigma_sweep.correlations"),
     ("[sigma_sweep]\nfactors = 1, 0\n", "sigma_sweep.factors"),

@@ -43,8 +43,6 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((2, 3)), labels=np.array([0]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((1, 3)), labels=np.array([-1]))
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((1, 3)), cell_size=0.0)
 
 
 def test_neighborlist_validation():
@@ -58,20 +56,18 @@ def test_neighborlist_validation():
 
 def test_subsample_centroid():
     cloud = PointCloud(np.array([[0.2, 0.2, 0.0], [0.4, 0.6, 0.0]]))
-    out, parents = cell_average_subsample(cloud, 1.0)
+    out = cell_average_subsample(cloud, 1.0)
     assert len(out) == 1
     assert np.allclose(out.positions[0], [0.3, 0.4, 0.0])
-    assert parents[0].tolist() == [0, 1]
-    assert out.cell_size == 1.0
 
 
 def test_subsample_majority_label_tie():
     cloud = PointCloud(np.zeros((3, 3)) + 0.1, labels=np.array([0, 0, 1]))
-    out, _ = cell_average_subsample(cloud, 1.0)
+    out = cell_average_subsample(cloud, 1.0)
     assert out.labels[0] == 0
     # tie between 1 and 2 -> smallest class id
     cloud = PointCloud(np.zeros((2, 3)) + 0.1, labels=np.array([2, 1]))
-    out, _ = cell_average_subsample(cloud, 1.0)
+    out = cell_average_subsample(cloud, 1.0)
     assert out.labels[0] == 1
 
 
@@ -79,17 +75,16 @@ def test_subsample_counts_match_bruteforce_cells():
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.uniform(-2, 2, size=(300, 3)))
     for cell in (0.3, 0.7, 1.5):
-        out, parents = cell_average_subsample(cloud, cell)
+        out = cell_average_subsample(cloud, cell)
         brute = {tuple(c) for c in np.floor(cloud.positions / cell).astype(int)}
         assert len(out) == len(brute)
-        # parent map partitions the input
-        joined = np.sort(np.concatenate(parents))
-        assert np.array_equal(joined, np.arange(len(cloud)))
+        # one centroid inside each occupied cell
+        assert {tuple(c) for c in np.floor(out.positions / cell).astype(int)} == brute
 
 
 def test_subsample_feature_average():
     cloud = PointCloud(np.zeros((2, 3)) + 0.2, features=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out, _ = cell_average_subsample(cloud, 1.0)
+    out = cell_average_subsample(cloud, 1.0)
     assert np.allclose(out.features[0], [2.0, 3.0])
 
 

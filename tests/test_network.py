@@ -181,7 +181,7 @@ def test_segmentation_logits_per_level0_point():
 
 def test_segmentation_level0_labels_majority():
     cloud = random_cloud(100, seed=17, labeled=True)
-    sub, parents = cell_average_subsample(
+    sub = cell_average_subsample(
         PointCloud(cloud.positions, labels=cloud.labels), 0.3)
     net = SegmentationNetwork(make_config(), num_classes=4, seed=18)
     prep = net.prepare(cloud)

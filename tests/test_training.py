@@ -218,9 +218,7 @@ def test_train_loop_deterministic():
 def test_train_loop_lr_starts_at_schedule_start():
     tc = TrainConfig(epochs=2, batch_size=4)
     model, train, test = _toy_setup(seed=1)
-    sched = OneCycleSchedule(max_lr=tc.max_lr, div_factor=tc.div_factor,
-                             final_factor=tc.final_factor,
-                             warmup_fraction=tc.warmup_fraction,
+    sched = OneCycleSchedule(max_lr=tc.max_lr, warmup_fraction=tc.warmup_fraction,
                              total_steps=2 * 3)
     assert onecycle_lr(sched, 0) == pytest.approx(5e-4)
 
