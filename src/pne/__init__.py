@@ -16,6 +16,7 @@ from .embeddings import (
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    MissingCacheError,
     ParamFileError,
     ParseError,
     ShapeError,

@@ -54,12 +54,19 @@ def load_config(path):
 
 
 class ConfigView:
-    """Typed access with key-path errors and defaults."""
+    """Typed access with key-path errors and defaults. Remembers every key
+    asked for, so that `unread_keys` names the ones nothing reads."""
 
     def __init__(self, sections):
         self.sections = sections
+        self.read = set()
+
+    def unread_keys(self):
+        return [f"{section}.{key}" for section, entries in self.sections.items()
+                for key in entries if (section, key) not in self.read]
 
     def _raw(self, section, key, default):
+        self.read.add((section, key))
         value = self.sections.get(section, {}).get(key)
         if value is None:
             if default is _REQUIRED:
@@ -81,8 +88,8 @@ class ConfigView:
                 value = float(value)
             except ValueError:
                 raise ConfigError(f"not a number: {value!r}", key=f"{section}.{key}") from None
-        if positive and not value > 0:
-            raise ConfigError(f"must be positive, got {value}", key=f"{section}.{key}")
+        if positive and not 0 < value < math.inf:
+            raise ConfigError(f"must be finite and > 0, got {value}", key=f"{section}.{key}")
         return value
 
     def get_int(self, section, key, default=None, minimum=None):
@@ -220,8 +227,8 @@ def resolve_experiment(sections):
     cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
 
     cfg.sweep_factors = v.get_list("sigma_sweep", "factors", cfg.sweep_factors, convert=float)
-    if not all(f > 0 for f in cfg.sweep_factors):
-        raise ConfigError("every factor must be positive", key="sigma_sweep.factors")
+    if not all(0 < f < math.inf for f in cfg.sweep_factors):
+        raise ConfigError("every factor must be finite and > 0", key="sigma_sweep.factors")
     cfg.sweep_correlations = v.get_list("sigma_sweep", "correlations", cfg.sweep_correlations)
     for c in cfg.sweep_correlations:
         if c not in ("triangular", "gaussian"):
@@ -232,4 +239,7 @@ def resolve_experiment(sections):
     for section in sections:
         if section not in known:
             raise ConfigError("unknown section", key=section)
+    unknown = v.unread_keys()
+    if unknown:
+        raise ConfigError("unknown key", key=unknown[0])
     return cfg

@@ -106,8 +106,10 @@ class Embedding:
     def jacobian_offsets(self, offsets):
         raise NotImplementedError
 
-    def gradient_params(self, offsets, upstream):
-        """Gradients w.r.t. learnable parameters; empty for fixed embeddings."""
+    def gradient_params(self, offsets, upstream, derivative=None):
+        """Gradients w.r.t. learnable parameters; empty for fixed embeddings.
+        `derivative` is what `embed(offsets, with_derivative=True)` returned
+        with the values, where the embedding has parameters."""
         return {}
 
     def params(self):
@@ -205,8 +207,12 @@ class MlpEmbedding(Embedding):
     def _pre(self, offsets):
         return self._omega() * (offsets @ self.weights.T + self.biases)
 
-    def embed(self, offsets):
+    def embed(self, offsets, with_derivative=False):
+        """e (N, E), or (e, act'(pre)) when `with_derivative`: the pair that
+        `gradient_params` takes back instead of forming `pre` again."""
         offsets = _check_offsets(offsets)
+        if with_derivative:
+            return numerics.activation_with_derivative(self.activation, self._pre(offsets))
         return numerics.activation_forward(self.activation, self._pre(offsets))
 
     def jacobian_offsets(self, offsets):
@@ -214,14 +220,16 @@ class MlpEmbedding(Embedding):
         dact = numerics.activation_derivative(self.activation, self._pre(offsets))
         return (self._omega() * dact)[..., None] * self.weights[None, :, :]
 
-    def gradient_params(self, offsets, upstream):
+    def gradient_params(self, offsets, upstream, derivative=None):
         offsets = _check_offsets(offsets)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (len(offsets), self.raw_dim):
             raise ShapeError("upstream must be (N, E)")
-        dpre = self._omega() * upstream * numerics.activation_derivative(
-            self.activation, self._pre(offsets)
-        )
+        if derivative is None:
+            derivative = numerics.activation_derivative(self.activation, self._pre(offsets))
+        elif np.shape(derivative) != upstream.shape:
+            raise ShapeError("derivative must be (N, E)")
+        dpre = self._omega() * upstream * derivative
         return {"weights": dpre.T @ offsets, "biases": dpre.sum(axis=0)}
 
     def params(self):

@@ -41,6 +41,11 @@ class ParamFileError(ValueError):
         super().__init__(message if tensor is None else f"tensor '{tensor}': {message}")
 
 
+class MissingCacheError(RuntimeError):
+    """A backward ran without the cache of a training forward: none came
+    before it, or an earlier backward already released it."""
+
+
 class TrainingFault(RuntimeError):
     """Non-finite value encountered during training."""
 

@@ -164,7 +164,7 @@ def check_conv_gradients(seed=2):
         def loss_with(param, flat):
             saved = param.copy()
             param[...] = flat.reshape(param.shape)
-            val = float(np.sum(v * _forward_site(layer, site, features)[0]))
+            val = float(np.sum(v * _forward_site(layer, site, features, keep=False)[0]))
             param[...] = saved
             return np.array([val])
 
@@ -183,7 +183,7 @@ def check_conv_gradients(seed=2):
 
         def feat_loss(flat):
             f = flat.reshape(features.shape)
-            return np.array([float(np.sum(v * _forward_site(layer, site, f)[0]))])
+            return np.array([float(np.sum(v * _forward_site(layer, site, f, keep=False)[0]))])
 
         fd = numerics.finite_diff_jacobian(feat_loss, features.ravel(), h=H)
         err = _rel_error(g.d_features, fd.reshape(features.shape))
@@ -197,7 +197,8 @@ def check_conv_gradients(seed=2):
         else:
             def off_loss(flat):
                 s2 = replace(site, offsets=flat.reshape(site.offsets.shape))
-                return np.array([float(np.sum(v * _forward_site(layer, s2, features)[0]))])
+                out = _forward_site(layer, s2, features, keep=False)[0]
+                return np.array([float(np.sum(v * out))])
 
             fd = numerics.finite_diff_jacobian(off_loss, site.offsets.ravel(), h=H)
             mask = _kink_mask(layer.embedding, site.offsets)
@@ -234,7 +235,7 @@ def _toy_config():
 def _network_param_check(model, prep, labels, name):
     params = model.params()
     model.zero_grads()
-    logits = model.forward(prep, training=False)
+    logits = model.forward(prep, training=True)
     _, d_logits = cross_entropy(logits, labels)
     model.backward(d_logits)
     grads = model.grads()

@@ -2,10 +2,13 @@
 encoder over cell-average pyramids, the classification head, and the
 sum-based skip-connection decoder.
 
-Forward/backward for one network instance is single-threaded: every module
-stores its forward cache and the matching backward must run before the next
-forward. Parameters live in numpy arrays that the optimizer updates in
-place.
+Forward/backward for one network instance is single-threaded. A module
+keeps a forward cache only from `forward(..., training=True)` to the
+`backward` that follows it: backward takes the cache and releases it, and an
+inference forward (`training=False`, the default) keeps nothing, so a model
+that only serves requests holds no per-request arrays. A backward with no
+cache raises `MissingCacheError`. Parameters live in numpy arrays that the
+optimizer updates in place.
 
 The parameter tree is declared, not restated: a leaf module lists its own
 `(name, param, grad)` triples in `tensors()`, a composite lists its ordered
@@ -35,12 +38,25 @@ from .embeddings import (
     icosahedron_kernel_points,
     init_mlp_embedding,
 )
-from .errors import DegenerateInputError, ParamFileError, ShapeError
+from .errors import DegenerateInputError, MissingCacheError, ParamFileError, ShapeError
 from .geometry import PointCloud, ball_query, cell_average_subsample, knn
 from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
 
 
 class Module:
+    _cache = None
+
+    def _take_cache(self):
+        """The cache of the last training forward, released as it is read."""
+        cache = self._cache
+        if cache is None:
+            site = getattr(self, "site_name", None)
+            who = type(self).__name__ + (f" at site {site!r}" if site else "")
+            raise MissingCacheError(f"{who}: backward needs a forward(training=True) "
+                                    "before it, and each such forward serves one backward")
+        self._cache = None
+        return cache
+
     def tensors(self):
         """This module's own (name, param, grad) triples, in file order."""
         return ()
@@ -74,19 +90,18 @@ class Linear(Module):
             raise ShapeError("linear layer shapes disagree")
         self.g_weights = np.zeros_like(self.weights)
         self.g_bias = np.zeros_like(self.bias)
-        self._cache = None
 
     @classmethod
     def init(cls, d_in, d_out, rng):
         w = rng.standard_normal((d_in, d_out)) * np.sqrt(1.0 / d_in)
         return cls(w, np.zeros(d_out))
 
-    def forward(self, x):
-        self._cache = x
+    def forward(self, x, training=False):
+        self._cache = x if training else None
         return x @ self.weights + self.bias
 
     def backward(self, up):
-        x = self._cache
+        x = self._take_cache()
         self.g_weights += x.T @ up
         self.g_bias += up.sum(axis=0)
         return up @ self.weights.T
@@ -109,19 +124,18 @@ class LayerNorm(Module):
         self.shift = np.zeros(dim)
         self.g_scale = np.zeros(dim)
         self.g_shift = np.zeros(dim)
-        self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, training=False):
         mu = x.mean(axis=1, keepdims=True)
         xc = x - mu
         var = np.square(xc).mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.EPS)
         xhat = xc * inv
-        self._cache = (xhat, inv)
+        self._cache = (xhat, inv) if training else None
         return xhat * self.scale + self.shift
 
     def backward(self, up):
-        xhat, inv = self._cache
+        xhat, inv = self._take_cache()
         d = xhat.shape[1]
         self.g_scale += (up * xhat).sum(axis=0)
         self.g_shift += up.sum(axis=0)
@@ -148,16 +162,15 @@ class ConvModule(Module):
         self.g_projection = np.zeros_like(layer.projection)
         self.g_bias = np.zeros_like(layer.bias)
         self.g_embedding = {k: np.zeros_like(v) for k, v in layer.embedding.params().items()}
-        self._cache = None
 
-    def forward(self, prep, features):
+    def forward(self, prep, features, training=False):
         site = prep.sites[self.site_name]
-        out, cache = _forward_site(self.layer, site, features)
-        self._cache = (site, features, cache)
+        out, cache = _forward_site(self.layer, site, features, keep=training)
+        self._cache = (site, features, cache) if training else None
         return out
 
     def backward(self, up):
-        site, features, cache = self._cache
+        site, features, cache = self._take_cache()
         g = _backward_site(self.layer, site, features, up, cache)
         self.g_kernel += g.d_kernel
         self.g_projection += g.d_projection
@@ -174,6 +187,15 @@ class ConvModule(Module):
             yield f"emb.{k}", p, self.g_embedding[k]
 
 
+def _conv_forward(conv, prep, features, training):
+    """`conv.forward`, called as `forward(prep, features)` for inference: the
+    signature that wrappers of `ConvModule.forward` (the benchmark's
+    perturbed-output check) are written for."""
+    if training:
+        return conv.forward(prep, features, training=True)
+    return conv.forward(prep, features)
+
+
 class MetaformerBlock(Module):
     """Two pre-norm residual sub-blocks: point-conv mixer, then a point-wise
     MLP whose hidden layer doubles the width. Drop path zeroes a residual
@@ -188,7 +210,6 @@ class MetaformerBlock(Module):
         if not 0.0 <= drop_path_rate < 1.0:
             raise ValueError("drop_path_rate must be in [0, 1)")
         self.drop_path_rate = drop_path_rate
-        self._cache = None
 
     def _draw_keep(self, training, rng):
         if not training or self.drop_path_rate == 0.0:
@@ -200,19 +221,19 @@ class MetaformerBlock(Module):
     def forward(self, prep, x, training=False, rng=None):
         k1 = self._draw_keep(training, rng)
         k2 = self._draw_keep(training, rng)
-        h = self.norm1.forward(x)
-        m = self.mixer.forward(prep, h)
+        h = self.norm1.forward(x, training=training)
+        m = _conv_forward(self.mixer, prep, h, training)
         x1 = x + k1 * m
-        h2 = self.norm2.forward(x1)
-        z = self.fc1.forward(h2)
+        h2 = self.norm2.forward(x1, training=training)
+        z = self.fc1.forward(h2, training=training)
         a = numerics.activation_forward(numerics.GELU, z)
-        u = self.fc2.forward(a)
+        u = self.fc2.forward(a, training=training)
         out = x1 + k2 * u
-        self._cache = (k1, k2, z)
+        self._cache = (k1, k2, z) if training else None
         return out
 
     def backward(self, up):
-        k1, k2, z = self._cache
+        k1, k2, z = self._take_cache()
         da = self.fc2.backward(k2 * up)
         dz = da * numerics.activation_derivative(numerics.GELU, z)
         dh2 = self.fc1.backward(dz)
@@ -401,14 +422,14 @@ class Encoder(Module):
 
     def forward(self, prep, training=False, rng=None):
         """Returns the post-block feature map of every level."""
-        feats = self.init_linear.forward(prep.initial_features)
+        feats = self.init_linear.forward(prep.initial_features, training=training)
         per_level = []
         for lvl, blocks in enumerate(self.levels):
             for block in blocks:
                 feats = block.forward(prep, feats, training=training, rng=rng)
             per_level.append(feats)
             if lvl + 1 < self.config.num_levels:
-                feats = self.transitions[lvl].forward(prep, feats)
+                feats = _conv_forward(self.transitions[lvl], prep, feats, training)
         return per_level
 
     def backward(self, d_per_level):
@@ -434,14 +455,14 @@ class Encoder(Module):
         return out
 
 
-def classify(per_level_feats, head):
+def classify(per_level_feats, head, training=False):
     """Global mean pooling over the last level's point features, then a
     linear head producing class logits (shape (1, num_classes))."""
     last = per_level_feats[-1]
     if len(last) == 0:
         raise DegenerateInputError("last pyramid level is empty")
     pooled = last.mean(axis=0, keepdims=True)
-    return head.forward(pooled)
+    return head.forward(pooled, training=training)
 
 
 class ClassificationNetwork(Module):
@@ -449,7 +470,6 @@ class ClassificationNetwork(Module):
         self.encoder = Encoder(config, seed=seed)
         rng = np.random.default_rng(np.random.default_rng(seed).integers(2**31) + 1)
         self.head = Linear.init(config.widths[-1], num_classes, rng)
-        self._cache = None
 
     @property
     def config(self):
@@ -460,11 +480,11 @@ class ClassificationNetwork(Module):
 
     def forward(self, prep, training=False, rng=None):
         per_level = self.encoder.forward(prep, training=training, rng=rng)
-        self._cache = per_level
-        return classify(per_level, self.head)
+        self._cache = per_level if training else None
+        return classify(per_level, self.head, training=training)
 
     def backward(self, d_logits):
-        per_level = self._cache
+        per_level = self._take_cache()
         d_pooled = self.head.backward(d_logits)
         last = per_level[-1]
         d_last = np.repeat(d_pooled, len(last), axis=0) / len(last)
@@ -497,17 +517,17 @@ class Decoder(Module):
         ]
         self.final = Linear.init(final_width, num_classes, rng)
 
-    def forward(self, prep, enc_feats):
+    def forward(self, prep, enc_feats, training=False):
         num = self.config.num_levels
         ys = [None] * num
-        ys[num - 1] = self.skips[num - 1].forward(enc_feats[num - 1])
+        ys[num - 1] = self.skips[num - 1].forward(enc_feats[num - 1], training=training)
         for lvl in range(num - 2, -1, -1):
-            up = self.upconvs[lvl].forward(prep, ys[lvl + 1])
-            ys[lvl] = up + self.skips[lvl].forward(enc_feats[lvl])
-        z = self.direct0.forward(ys[0])
+            up = _conv_forward(self.upconvs[lvl], prep, ys[lvl + 1], training)
+            ys[lvl] = up + self.skips[lvl].forward(enc_feats[lvl], training=training)
+        z = self.direct0.forward(ys[0], training=training)
         for lvl in range(1, num):
-            z = z + self.directs[lvl - 1].forward(prep, ys[lvl])
-        return self.final.forward(z)
+            z = z + _conv_forward(self.directs[lvl - 1], prep, ys[lvl], training)
+        return self.final.forward(z, training=training)
 
     def backward(self, d_logits):
         num = self.config.num_levels
@@ -550,7 +570,7 @@ class SegmentationNetwork(Module):
 
     def forward(self, prep, training=False, rng=None):
         enc_feats = self.encoder.forward(prep, training=training, rng=rng)
-        return self.decoder.forward(prep, enc_feats)
+        return self.decoder.forward(prep, enc_feats, training=training)
 
     def backward(self, d_logits):
         d_enc = self.decoder.backward(d_logits)

@@ -58,6 +58,20 @@ def activation_derivative(kind, x):
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
+def activation_with_derivative(kind, x):
+    """(activation_forward(kind, x), activation_derivative(kind, x)), bit for
+    bit, in one pass: GELU evaluates the normal CDF once for both."""
+    x = _check_finite(x)
+    if kind == RELU:
+        return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
+    if kind == GELU:
+        cdf = normal_cdf(x)
+        return x * cdf, cdf + x * normal_pdf(x)
+    if kind == SIN:
+        return np.sin(x), np.cos(x)
+    raise ValueError(f"unknown activation kind: {kind!r}")
+
+
 def finite_diff_jacobian(f, x, h=1e-5):
     """Central-difference Jacobian of a vector->vector callable.
 

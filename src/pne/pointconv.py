@@ -28,12 +28,22 @@ so no per-pair (T, I * E) tensor is formed. Backward runs the same chain:
 d_K_eff = zq^T @ (norm * upstream) splits into d_kernel and d_projection
 through P and kappa, dz = (norm * upstream) @ K_eff^T, and d_features sums
 (epad @ dz) at the pair slots onto the support points with one sparse product
-of T nonzeros. The per-pair embedding gradient d_e = (fpad @ dz^T) at the pair
-slots is formed only when the embedding has learnable parameters or offset
-gradients are requested.
+of T nonzeros, `ConvSite.from_pairs`. The per-pair embedding gradient
+d_e = (fpad @ dz^T) at the pair slots is formed only when the embedding has
+learnable parameters or offset gradients are requested.
+
+What backward reuses. A forward that keeps its cache (`keep=True`) returns
+epad, fpad, zq, the norm weights, K_eff and, for an embedding with learnable
+parameters, the activation derivative act'(pre) that `embed` formed with e,
+which `gradient_params` takes instead of forming pre again. An inference
+forward (`keep=False`) keeps none of them and forms no derivative.
+`from_pairs` depends only on the site: it is built on the first backward
+through a site and stays with the site, so neither `make_site` nor an
+inference forward pays for it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,6 +67,15 @@ class ConvSite:
     num_support: int
     table: np.ndarray            # (M, Kmax) support index per slot; num_support if empty
     slot: np.ndarray             # (T,) flat position of each pair in table
+
+    @cached_property
+    def from_pairs(self):
+        """(num_support, T) operator that sums per-pair rows onto their
+        support points: column t holds a single 1, in the row of pair t's
+        support."""
+        t = len(self.slot)
+        return sparse.csc_matrix((np.ones(t), self.neighbors.indices, np.arange(t + 1)),
+                                 shape=(self.num_support, t))
 
 
 def make_site(query, support, neighbors):
@@ -152,31 +171,45 @@ def _effective_kernel(layer):
     return (layer.projection @ k).reshape(-1, o)               # (E_raw*I, O)
 
 
-def _forward_site(layer, site, features):
+def _check_features(layer, site, features):
     if features.shape != (site.num_support, layer.in_features):
         raise ShapeError(
             f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
         )
-    e = layer.embedding.embed(site.offsets)                    # (T, E_raw)
+
+
+def _forward_site(layer, site, features, keep=True):
+    """(out, cache). The cache is what `_backward_site` reads; with
+    `keep=False` it is None and no embedding derivative is formed."""
+    _check_features(layer, site, features)
+    dact = None
+    if keep and layer.embedding.params():
+        e, dact = layer.embedding.embed(site.offsets, with_derivative=True)
+    else:
+        e = layer.embedding.embed(site.offsets)                # (T, E_raw)
     m, kmax = site.table.shape
     r, i = e.shape[1], layer.in_features
     epad = np.zeros((m * kmax, r))
     epad[site.slot] = e
     epad = epad.reshape(m, kmax, r)
-    zq = np.matmul(epad.transpose(0, 2, 1), _padded_features(site, features)).reshape(m, r * i)
+    fpad = _padded_features(site, features)
+    zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)
     w = _norm_weights(layer, site.counts)
     k_eff = _effective_kernel(layer)
     out = (zq @ k_eff) * w[:, None]
     if layer.bias is not None:
         out = out + layer.bias
-    # the cache keeps epad but not fpad: backward gathers fpad again, because
-    # every conv module holds its cache until the next forward, and keeping
-    # fpad too raised the peak memory of dense-scene inference by about 40%
-    return out, (epad, zq, w, k_eff)
+    if not keep:
+        return out, None
+    return out, (epad, fpad, dact, zq, w, k_eff)
 
 
 def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
-    epad, zq, w, k_eff = cache
+    """Gradients from the cache of `_forward_site(layer, site, features)`.
+    `features` is checked as the forward checks it; backward reads its
+    padded copy from the cache."""
+    _check_features(layer, site, features)
+    epad, fpad, dact, zq, w, k_eff = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
         raise ShapeError(f"upstream must be ({m}, {layer.out_features})")
@@ -189,19 +222,13 @@ def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
     d_projection = d_keff @ k
     dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
     d_pairs = _at_pairs(site, np.matmul(epad, dz))            # (T, I)
-    # d_features[n] sums d_pairs over the pairs whose support point is n:
-    # column t of from_pairs holds a single 1, in the row of pair t's support
-    t = len(site.slot)
-    from_pairs = sparse.csc_matrix((np.ones(t), site.neighbors.indices, np.arange(t + 1)),
-                                   shape=(site.num_support, t))
-    d_features = from_pairs @ d_pairs
+    d_features = site.from_pairs @ d_pairs
     d_bias = upstream.sum(axis=0) if layer.bias is not None else None
     d_emb = {}
     d_offsets = None
     if layer.embedding.params() or with_offsets:
-        fpad = _padded_features(site, features)
         d_e = _at_pairs(site, np.matmul(fpad, dz.transpose(0, 2, 1)))   # (T, E_raw)
-        d_emb = layer.embedding.gradient_params(site.offsets, d_e)
+        d_emb = layer.embedding.gradient_params(site.offsets, d_e, dact)
         if with_offsets:
             jac = layer.embedding.jacobian_offsets(site.offsets)   # (T, E_raw, 3)
             d_offsets = np.einsum("te,tec->tc", d_e, jac)
@@ -219,7 +246,7 @@ def conv_forward(layer, query, support, neighbors, features):
     """Forward evaluation; query and support may be different clouds."""
     features = np.asarray(features, dtype=np.float64)
     site = make_site(query, support, neighbors)
-    out, _ = _forward_site(layer, site, features)
+    out, _ = _forward_site(layer, site, features, keep=False)
     return out
 
 

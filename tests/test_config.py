@@ -148,6 +148,15 @@ def test_resolve_overrides():
     ("[sigma_sweep]\ncorrelations = box\n", "sigma_sweep.correlations"),
     ("[sigma_sweep]\nfactors = 1, 0\n", "sigma_sweep.factors"),
     ("[extra]\nx = 1\n", "extra"),
+    ("[network]\ninitial_cell = inf\n", "network.initial_cell"),
+    ("[network]\nsigma_factor = inf\n", "network.sigma_factor"),
+    ("[network]\nball_scale = inf\n", "network.ball_scale"),
+    ("[training]\nmax_lr = inf\n", "training.max_lr"),
+    ("[training]\nclip_norm = inf\n", "training.clip_norm"),
+    ("[sigma_sweep]\nfactors = 1, inf\n", "sigma_sweep.factors"),
+    ("[training]\nepoch = 3\n", "training.epoch"),
+    ("[training]\ndrop_path_max = nan\n", "training.drop_path_max"),
+    ("[network]\nwidths = 4\nblocks = 1\nwidth = 8\n", "network.width"),
 ])
 def test_resolve_validation_errors(text, key):
     with pytest.raises(ConfigError) as err:

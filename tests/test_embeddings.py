@@ -202,6 +202,25 @@ def test_mlp_gradient_params_linear_limit():
     assert np.allclose(g["weights"], up.T @ p, atol=1e-7)
 
 
+@pytest.mark.parametrize("act", numerics.ACTIVATION_KINDS)
+def test_mlp_embed_with_derivative_feeds_gradient_params(act):
+    """The derivative `embed` returns with e is the one `gradient_params`
+    would form from the offsets: values and gradients are bit for bit."""
+    emb = init_mlp_embedding(5, 1.0, act, seed=12)
+    rng = np.random.default_rng(13)
+    offs = rng.uniform(-1, 1, size=(40, 3))
+    e, dact = emb.embed(offs, with_derivative=True)
+    assert e.tobytes() == emb.embed(offs).tobytes()
+    assert dact.tobytes() == numerics.activation_derivative(act, emb._pre(offs)).tobytes()
+    up = rng.standard_normal((40, 5))
+    kept = emb.gradient_params(offs, up, dact)
+    fresh = emb.gradient_params(offs, up)
+    for k in ("weights", "biases"):
+        assert kept[k].tobytes() == fresh[k].tobytes()
+    with pytest.raises(ShapeError):
+        emb.gradient_params(offs, up, dact[:1])
+
+
 def test_continuity_and_box_jumps():
     rng = np.random.default_rng(10)
     offs = rng.uniform(-1, 1, size=(500, 3))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from pne.errors import DegenerateInputError, ParamFileError
+from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
 from pne.geometry import PointCloud, cell_average_subsample
 from pne.network import (
     ClassificationNetwork,
     EmbeddingSpec,
     Encoder,
     EncoderConfig,
+    ConvModule,
     LayerNorm,
     Linear,
     MetaformerBlock,
@@ -154,7 +155,7 @@ def test_single_point_pooling_identity():
     net = ClassificationNetwork(make_config(widths=[4], blocks_per_level=[1]),
                                 num_classes=2, seed=12)
     prep = net.prepare(cloud)
-    logits = net.forward(prep, training=False)
+    logits = net.forward(prep, training=True)
     feats = net._cache[-1]
     manual = net.head.forward(feats)
     assert np.allclose(logits, manual)
@@ -240,10 +241,60 @@ def test_params_and_grads_aligned():
         assert grads["enc.l2.b1.mixer.emb.biases"] is mixer.g_embedding["biases"]
         assert all(a is b for a, b in zip(net.params().values(), params.values()))
         prep = net.prepare(cloud)
-        net.backward(np.ones_like(net.forward(prep)))
+        net.backward(np.ones_like(net.forward(prep, training=True)))
         assert all(np.any(g != 0.0) for g in grads.values())
         net.zero_grads()
         assert all(np.all(g == 0.0) for g in grads.values())
+
+
+def _modules(module):
+    yield module
+    for _, child in module.children():
+        yield from _modules(child)
+
+
+# the module kinds whose backward reads a forward cache
+CACHING = (Linear, LayerNorm, ConvModule, MetaformerBlock, ClassificationNetwork)
+
+
+def test_caches_live_from_training_forward_to_backward():
+    """An inference forward leaves no module holding a cache, not even one
+    left by an earlier training forward; a training forward fills every
+    cache backward reads, and backward releases all of them. Only a
+    backward builds the sites' `from_pairs` operators."""
+    cloud = random_cloud(100, seed=21, labeled=True)
+    for network, _ in NETWORKS:
+        net = network(tree_config(), num_classes=3, seed=21)
+        prep = net.prepare(cloud)
+        modules = list(_modules(net))
+        assert sum(isinstance(m, ConvModule) for m in modules) >= 7
+        net.forward(prep)
+        assert all(m._cache is None for m in modules)
+        net.forward(prep, training=True)
+        assert all(m._cache is not None for m in modules if isinstance(m, CACHING))
+        net.forward(prep, training=False)
+        assert all(m._cache is None for m in modules)
+        assert not any("from_pairs" in vars(site) for site in prep.sites.values())
+        net.backward(np.ones_like(net.forward(prep, training=True)))
+        assert all(m._cache is None for m in modules)
+        assert all("from_pairs" in vars(site) for site in prep.sites.values())
+
+
+def test_backward_without_cache_raises_typed_error():
+    cloud = random_cloud(60, seed=22)
+    net = ClassificationNetwork(tree_config(), num_classes=3, seed=22)
+    prep = net.prepare(cloud)
+    d_logits = np.ones((1, 3))
+    net.forward(prep)
+    with pytest.raises(MissingCacheError, match=r"ClassificationNetwork.*forward\(training=True\)"):
+        net.backward(d_logits)
+    net.forward(prep, training=True)
+    net.backward(d_logits)
+    with pytest.raises(MissingCacheError, match=r"ClassificationNetwork.*forward\(training=True\)"):
+        net.backward(d_logits)
+    conv = net.encoder.transitions[0]
+    with pytest.raises(MissingCacheError, match=r"ConvModule at site 'down0'"):
+        conv.backward(np.ones((len(prep.clouds[1]), 6)))
 
 
 def test_save_load_roundtrip(tmp_path):

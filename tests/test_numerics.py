@@ -48,6 +48,17 @@ def test_nonfinite_input_rejected():
         numerics.activation_forward(numerics.RELU, np.nan)
     with pytest.raises(ValueError):
         numerics.activation_derivative(numerics.GELU, np.inf)
+    with pytest.raises(ValueError):
+        numerics.activation_with_derivative(numerics.SIN, np.nan)
+
+
+@pytest.mark.parametrize("kind", numerics.ACTIVATION_KINDS)
+def test_activation_with_derivative_is_bit_identical(kind):
+    x = np.concatenate([np.random.default_rng(5).uniform(-6.0, 6.0, 2000),
+                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]])
+    y, dy = numerics.activation_with_derivative(kind, x)
+    assert y.tobytes() == numerics.activation_forward(kind, x).tobytes()
+    assert dy.tobytes() == numerics.activation_derivative(kind, x).tobytes()
 
 
 def test_finite_diff_identity():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from pne import numerics
 from pne.embeddings import IdentityEmbedding, KernelPointEmbedding, icosahedron_kernel_points, init_mlp_embedding
@@ -365,3 +366,68 @@ def test_unreferenced_support_gets_zero_feature_gradient(name):
     g = _backward_site(layer, site, features, up, cache, with_offsets=True)
     assert np.all(g.d_features[-1] == 0.0)
     assert np.any(g.d_features[:-1] != 0.0)
+
+
+@pytest.mark.parametrize("act", ["relu", "gelu", "sin"])
+def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
+    """A kept forward hands `gradient_params` the activation derivative it
+    formed with e; the embedding gradients equal those recomputed from the
+    offsets bit for bit. An inference forward forms no derivative."""
+    emb = build_embedding(EmbeddingSpec(kind="mlp", activation=act, mlp_dim=5),
+                          "ball_query", 1.0, seed=3)
+    layer, query, support, nl, features = random_instance(18, emb=emb)
+    site = make_site(query, support, nl)
+    embed_kwargs = []
+    original_embed = emb.embed
+
+    def embed_spy(offsets, **kwargs):
+        embed_kwargs.append(kwargs)
+        return original_embed(offsets, **kwargs)
+
+    monkeypatch.setattr(emb, "embed", embed_spy)
+    out, cache = _forward_site(layer, site, features, keep=False)
+    assert cache is None and embed_kwargs == [{}]
+    kept_out, cache = _forward_site(layer, site, features)
+    assert embed_kwargs[1] == {"with_derivative": True}
+    assert kept_out.tobytes() == out.tobytes()
+
+    seen = []
+    original = emb.gradient_params
+
+    def spy(offsets, upstream, derivative=None):
+        seen.append((upstream, derivative))
+        return original(offsets, upstream, derivative)
+
+    monkeypatch.setattr(emb, "gradient_params", spy)
+    up = np.random.default_rng(19).standard_normal(out.shape)
+    g = _backward_site(layer, site, features, up, cache)
+    ((d_e, derivative),) = seen
+    assert derivative is not None
+    fresh = original(site.offsets, d_e)
+    assert set(g.d_embedding_params) == {"weights", "biases"}
+    for k, v in fresh.items():
+        assert g.d_embedding_params[k].tobytes() == v.tobytes()
+
+
+def test_from_pairs_built_once_on_first_backward():
+    """`site.from_pairs` sums pair rows onto support points: entry (n, t) is
+    1 exactly where pair t's support is n. Neither `make_site` nor a forward
+    builds it; the first backward does, and later ones reuse it."""
+    layer, query, support, nl, features = random_instance(20)
+    site = make_site(query, support, nl)
+    assert "from_pairs" not in vars(site)
+    out, _ = _forward_site(layer, site, features, keep=False)
+    _, cache = _forward_site(layer, site, features)
+    assert "from_pairs" not in vars(site)
+    up = np.random.default_rng(21).standard_normal(out.shape)
+    first = _backward_site(layer, site, features, up, cache)
+    op = vars(site)["from_pairs"]
+    assert sparse.issparse(op)
+    t = len(nl.indices)
+    want = np.zeros((len(support), t))
+    want[nl.indices, np.arange(t)] = 1.0
+    assert np.array_equal(op.toarray(), want)
+    _, cache = _forward_site(layer, site, features)
+    again = _backward_site(layer, site, features, up, cache)
+    assert site.from_pairs is op
+    assert again.d_features.tobytes() == first.d_features.tobytes()
