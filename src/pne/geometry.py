@@ -1,6 +1,13 @@
 """Point-cloud container, cell-average subsampling, KD-tree neighborhood
 queries (kNN and ball query) and receptive-field statistics.
 
+In both searches scipy's cKDTree proposes and an exact norm decides, and
+neither builds a Python object per query. kNN takes each query's k+1
+nearest points from the tree and selects again, from a wider candidate set,
+only the rows where a tie at the k-th distance may reach past them. Ball
+query takes every pair within a slightly widened radius from one sweep of
+a query tree against the support tree.
+
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
   * kNN ties at the k-th distance break toward the smallest support index;
@@ -62,8 +69,9 @@ class NeighborList:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.offsets.ndim != 1 or self.offsets[0] != 0:
-            raise ShapeError("offsets must be 1-d and start at 0")
+        if self.offsets.ndim != 1 or len(self.offsets) == 0 or self.offsets[0] != 0:
+            raise ShapeError("offsets must be 1-d, non-empty and start at 0, "
+                             f"got shape {self.offsets.shape}")
         if np.any(np.diff(self.offsets) < 0):
             raise ShapeError("offsets must be non-decreasing")
         if self.offsets[-1] != len(self.indices):
@@ -91,8 +99,7 @@ def cell_average_subsample(cloud, cell_size):
     Features are averaged, labels take the majority vote (ties -> smallest
     class id). Returns the subsampled cloud.
     """
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    _check_positive("cell_size", cell_size)
     coords = np.floor(cloud.positions / cell_size).astype(np.int64)
     _, inverse, counts = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (N, 1) when axis is set
@@ -115,16 +122,33 @@ def cell_average_subsample(cloud, cell_size):
     return PointCloud(positions, features=features, labels=labels)
 
 
-# Relative slack on candidate radii. The tree sums squared coordinate
-# differences in its own order, so its distance can sit a few ulp away from
-# the norm below, which makes every final decision. Both round the same
-# coordinate differences, so the gap is relative to the distance, not to
-# the coordinates, and stays so for clouds far from the origin.
+# Relative slack between the tree's distances and the norm below, which
+# makes every final decision. The tree sums squared coordinate differences
+# in its own order, so its distance can sit a few ulp away from the norm.
+# Both round the same coordinate differences, so the gap is relative to the
+# distance, not to the coordinates, and stays so for clouds far from the
+# origin. Every radius handed to the tree is widened by this factor, and the
+# kNN window check by its square.
 _SLACK = 1e-9
 
 
+def _check_positive(name, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _distances(a, b):
+    """Row-wise Euclidean distances of broadcast (..., 3) arrays: the values
+    of np.linalg.norm(a - b, axis=-1) bit for bit (the same squares, summed
+    in the same order), without its generic reduction."""
+    d = a - b
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
 def _pair_distances(query, support, qid, idx):
-    return np.linalg.norm(support.positions[idx] - query.positions[qid], axis=1)
+    return _distances(np.take(support.positions, idx, axis=0),
+                      np.take(query.positions, qid, axis=0))
 
 
 def _candidates(tree, query, support, radii):
@@ -148,42 +172,66 @@ def _neighbor_list(num_queries, qid, idx):
 
 
 def knn(query, support, k):
-    """k nearest support points per query (ragged if support has < k points).
+    """k nearest support points per query (all of them if support has
+    fewer than k points).
 
-    A KD-tree gives each query's k-th distance; the tree then proposes every
-    support point within that distance, and the exact selection (ties ->
-    smallest index) is made on the re-measured candidates.
+    The KD-tree returns each query's k+1 nearest points. Re-measured with the
+    exact norm and ordered by (distance, index), the first k of them are the
+    answer unless the (k+1)-th tree distance comes within the slack of the
+    k-th distance: then a point outside the window may tie the k-th one
+    (lattices, duplicates). Only those rows are selected again, from every
+    support point the tree proposes within their k-th distance.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
     take = min(k, len(support))
+    width = min(take + 1, len(support))
     tree = cKDTree(support.positions)
-    kth = tree.query(query.positions, k=[take])[0][:, 0]
-    qid, idx, d = _candidates(tree, query, support, kth)
-    # ties at the k-th distance break toward the smallest support index;
-    # qid is sorted, so position i of `order` belongs to query qid[i]
-    order = np.lexsort((idx, d, qid))
-    counts = np.bincount(qid, minlength=len(query))
-    rank = np.arange(len(qid)) - (np.cumsum(counts) - counts)[qid]
-    # back in candidate order, which keeps each query's indices sorted
-    keep = np.sort(order[rank < take])
-    return _neighbor_list(len(query), qid[keep], idx[keep])
+    tree_d, idx = tree.query(query.positions, k=list(range(1, width + 1)))
+    d = _distances(np.take(support.positions, idx, axis=0), query.positions[:, None, :])
+    # ties at the k-th distance break toward the smallest support index
+    order = np.lexsort((idx, d))
+    nearest = np.sort(np.take_along_axis(idx, order[:, :take], axis=1), axis=1)
+    if len(support) > width:
+        # Every point outside the window has tree distance >= the window's
+        # last, tree_d[:, take], and norm >= tree distance / (1 + _SLACK).
+        # Where tree_d[:, take] > kth * (1 + _SLACK)**2, each of them has norm
+        # > kth * (1 + _SLACK) > kth, the k-th norm in the window, so the
+        # window holds the k nearest. The other rows go through the candidates.
+        kth = np.take_along_axis(d, order[:, take - 1:take], axis=1)[:, 0]
+        unsure = np.flatnonzero(tree_d[:, take] <= kth * (1.0 + _SLACK) ** 2)
+        if len(unsure):
+            rows = PointCloud(query.positions[unsure])
+            qid, cand, cand_d = _candidates(tree, rows, support, tree_d[unsure, take - 1])
+            # qid is sorted, so position i of `order` belongs to row qid[i]
+            order = np.lexsort((cand, cand_d, qid))
+            counts = np.bincount(qid, minlength=len(rows))
+            rank = np.arange(len(qid)) - (np.cumsum(counts) - counts)[qid]
+            # back in candidate order, which keeps each row's indices sorted
+            nearest[unsure] = cand[np.sort(order[rank < take])].reshape(-1, take)
+    offsets = np.arange(len(query) + 1, dtype=np.int64) * take
+    return NeighborList(offsets, nearest.reshape(-1))
 
 
 def ball_query(query, support, radius):
     """All support points within `radius` (inclusive) of each query point.
 
-    KD-tree candidates, kept where the exact distance is <= radius.
-    Queries with no point in range get an empty range.
+    One sweep of a query tree against the support tree (a single tree when
+    `query is support`) lists the pairs within the widened radius; sorted by
+    (query, index) and re-measured, the pairs with exact distance <= radius
+    are kept. Queries with no point in range get an empty range.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
-    qid, idx, d = _candidates(cKDTree(support.positions), query, support, radius)
-    inside = d <= radius
+    support_tree = cKDTree(support.positions)
+    query_tree = support_tree if query is support else cKDTree(query.positions)
+    pairs = query_tree.sparse_distance_matrix(support_tree, radius * (1.0 + _SLACK),
+                                              output_type="ndarray")
+    qid, idx = np.divmod(np.sort(pairs["i"] * len(support) + pairs["j"]), len(support))
+    inside = _pair_distances(query, support, qid, idx) <= radius
     return _neighbor_list(len(query), qid[inside], idx[inside])
 
 
@@ -198,8 +246,7 @@ def farthest_distances(neighbors, query, support):
 def farthest_distance_stats(neighbors, query, support, cell_size):
     """Mean and population variance of (max neighbor distance / cell_size)
     over all queries with at least one neighbor."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    _check_positive("cell_size", cell_size)
     vals = farthest_distances(neighbors, query, support) / cell_size
     if not len(vals):
         raise StatisticsError("all neighborhoods are empty")

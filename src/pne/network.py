@@ -226,16 +226,19 @@ class MetaformerBlock(Module):
         x1 = x + k1 * m
         h2 = self.norm2.forward(x1, training=training)
         z = self.fc1.forward(h2, training=training)
-        a = numerics.activation_forward(numerics.GELU, z)
+        if training:
+            a, dadz = numerics.activation_with_derivative(numerics.GELU, z)
+            self._cache = (k1, k2, dadz)
+        else:
+            a = numerics.activation_forward(numerics.GELU, z)
+            self._cache = None
         u = self.fc2.forward(a, training=training)
-        out = x1 + k2 * u
-        self._cache = (k1, k2, z) if training else None
-        return out
+        return x1 + k2 * u
 
     def backward(self, up):
-        k1, k2, z = self._take_cache()
+        k1, k2, dadz = self._take_cache()
         da = self.fc2.backward(k2 * up)
-        dz = da * numerics.activation_derivative(numerics.GELU, z)
+        dz = da * dadz
         dh2 = self.fc1.backward(dz)
         dx1 = up + self.norm2.backward(dh2)
         dh = self.mixer.backward(k1 * dx1)

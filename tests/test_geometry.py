@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from pne import geometry
 from pne.errors import ShapeError, StatisticsError
 from pne.geometry import (
     NeighborList,
@@ -52,6 +54,8 @@ def test_neighborlist_validation():
         NeighborList(np.array([0, 2, 1]), np.array([0, 1]))
     with pytest.raises(ShapeError):
         NeighborList(np.array([0, 3]), np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        NeighborList(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
 
 def test_subsample_centroid():
@@ -80,6 +84,13 @@ def test_subsample_counts_match_bruteforce_cells():
         assert len(out) == len(brute)
         # one centroid inside each occupied cell
         assert {tuple(c) for c in np.floor(out.positions / cell).astype(int)} == brute
+
+
+@pytest.mark.parametrize("cell", [0.0, -1.0, np.nan, np.inf])
+def test_subsample_rejects_bad_cell_size(cell):
+    cloud = PointCloud(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
+        cell_average_subsample(cloud, cell)
 
 
 def test_subsample_feature_average():
@@ -125,6 +136,28 @@ def test_knn_errors():
         knn(cloud, PointCloud(np.zeros((0, 3))), 1)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
+def test_knn_rejects_non_integer_k(k):
+    cloud = PointCloud(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+        knn(cloud, cloud, k)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, np.nan, np.inf])
+def test_ball_query_rejects_bad_radius(radius):
+    cloud = PointCloud(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        ball_query(cloud, cloud, radius)
+
+
+def test_empty_query_cloud():
+    support = PointCloud(np.random.default_rng(5).uniform(-1, 1, size=(20, 3)))
+    empty = PointCloud(np.zeros((0, 3)))
+    for nl in (knn(empty, support, 4), ball_query(empty, support, 0.5)):
+        assert nl.num_queries == 0
+        assert nl.offsets.tolist() == [0] and len(nl.indices) == 0
+
+
 def test_ball_query_simple():
     support = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]]))
     query = PointCloud(np.array([[0.0, 0, 0]]))
@@ -151,7 +184,7 @@ def lattice(n, spacing):
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
 
 
-ADVERSARIAL = ["lattice", "duplicates", "k_over_n", "offset_1e6", "empty_ball"]
+ADVERSARIAL = ["lattice", "duplicates", "k_over_n", "offset_1e6", "empty_ball", "tie_mix"]
 
 
 def clouds(case, rng):
@@ -180,6 +213,14 @@ def clouds(case, rng):
         support = PointCloud(rng.uniform(-1, 1, size=(40, 3)))
         yield PointCloud(np.concatenate([rng.uniform(-1, 1, size=(5, 3)),
                                          rng.uniform(-1, 1, size=(5, 3)) + [50.0, 0, 0]])), support
+    elif case == "tie_mix":
+        # one shuffled query cloud whose rows tie at the k-th distance for
+        # most k (lattice sites, cell centres) or never (jittered sites)
+        grid = lattice(5, 0.25)
+        picks = rng.permutation(len(grid))[:24]
+        query = np.concatenate([grid[picks[:12]], lattice(2, 0.25) + 0.375,
+                                grid[picks[12:]] + rng.normal(scale=0.02, size=(12, 3))])
+        yield PointCloud(query[rng.permutation(len(query))]), PointCloud(grid)
     else:
         for trial in range(20):
             n = int(rng.integers(5, 200))
@@ -207,6 +248,80 @@ def test_ball_query_matches_bruteforce(case):
             nl = ball_query(query, support, r)
             expected = brute_ball(query, support, r)
             assert as_lists(nl) == [e.tolist() for e in expected]
+
+
+def test_knn_reselects_only_the_tied_rows(monkeypatch):
+    """In one call, the rows tied at the k-th distance go through the
+    exact candidate re-selection and the others do not."""
+    query, support = next(clouds("tie_mix", np.random.default_rng(3)))
+    rows = []
+    candidates = geometry._candidates
+
+    def spy(tree, rows_query, *args):
+        rows.append(len(rows_query))
+        return candidates(tree, rows_query, *args)
+
+    monkeypatch.setattr(geometry, "_candidates", spy)
+    for k in (1, 7, 19):
+        rows.clear()
+        assert as_lists(knn(query, support, k)) == [e.tolist() for e in brute_knn(query, support, k)]
+        assert len(rows) == 1 and 0 < rows[0] < len(query)
+
+
+SKEW = 1.0 + 1e-12
+
+
+class SkewedTree(cKDTree):
+    """A KD-tree whose distances sit a relative 1e-12 above the norm, as a
+    tree summing squares in another order could place them: it reports
+    kNN distances that high and keeps a pair within radius r only where
+    its own distance, norm * SKEW, is <= r."""
+
+    def query(self, x, *args, **kwargs):
+        d, i = super().query(x, *args, **kwargs)
+        return d * SKEW, i
+
+    def query_ball_point(self, x, r, *args, **kwargs):
+        return super().query_ball_point(x, np.asarray(r) / SKEW, *args, **kwargs)
+
+    def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
+        return super().sparse_distance_matrix(other, max_distance / SKEW, *args, **kwargs)
+
+
+def test_neighbors_exact_when_tree_distances_differ_from_the_norm(monkeypatch):
+    """The radii handed to the tree and the kNN window check carry enough
+    slack for a tree whose distances are not the norm's to the last bit."""
+    monkeypatch.setattr(geometry, "cKDTree", SkewedTree)
+    rng = np.random.default_rng(6)
+    for case in ("lattice", "duplicates", "tie_mix"):
+        for query, support in clouds(case, rng):
+            for k in (1, 2, 7, 19, 27):
+                nl = knn(query, support, k)
+                assert as_lists(nl) == [e.tolist() for e in brute_knn(query, support, k)]
+            for r in (0.25, 0.5):
+                nl = ball_query(query, support, r)
+                assert as_lists(nl) == [e.tolist() for e in brute_ball(query, support, r)]
+
+
+@pytest.mark.parametrize("case", [False, *ADVERSARIAL])
+def test_query_is_support_matches_equal_copy(case):
+    """The self-query paths (one tree for ball query) give the lists an
+    equal but distinct support cloud gives."""
+    rng = np.random.default_rng(7)
+    for _, support in clouds(case, rng):
+        copy = PointCloud(support.positions.copy())
+        for k in (1, 7, 19):
+            assert as_lists(knn(support, support, k)) == as_lists(knn(support, copy, k))
+        for r in (0.25, 0.5):
+            assert as_lists(ball_query(support, support, r)) == as_lists(ball_query(support, copy, r))
+
+
+def test_pair_distances_match_linalg_norm():
+    rng = np.random.default_rng(8)
+    for offset in (0.0, 1e3, 1e6):
+        a = rng.uniform(-1, 1, size=(500, 3)) + offset
+        b = rng.uniform(-1, 1, size=(500, 3)) * rng.choice([1e-3, 1.0, 10.0], size=(500, 1)) + offset
+        assert geometry._distances(a, b).tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
 
 
 def test_knn_far_outside_grid():

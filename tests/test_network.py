@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pne import numerics
 from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
 from pne.geometry import PointCloud, cell_average_subsample
 from pne.network import (
@@ -278,6 +279,36 @@ def test_caches_live_from_training_forward_to_backward():
         net.backward(np.ones_like(net.forward(prep, training=True)))
         assert all(m._cache is None for m in modules)
         assert all("from_pairs" in vars(site) for site in prep.sites.values())
+
+
+def test_block_backward_uses_the_gelu_derivative_the_forward_kept(monkeypatch):
+    """A training forward keeps the block MLP's GELU derivative; backward
+    from it gives the same gradients, byte for byte, as a backward whose
+    derivative is recomputed from the hidden pre-activation. An inference
+    forward forms no derivative and keeps nothing."""
+    cloud = random_cloud(80, seed=23)
+    runs = []
+    for recompute in (False, True):
+        net = ClassificationNetwork(tree_config(), num_classes=3, seed=23)
+        prep = net.prepare(cloud)
+        block = net.encoder.levels[0][0]
+        x = np.random.default_rng(23).standard_normal((len(prep.clouds[0]), 4))
+        out = block.forward(prep, x, training=True)
+        if recompute:
+            k1, k2, _ = block._cache
+            z = block.fc1._cache @ block.fc1.weights + block.fc1.bias
+            block._cache = (k1, k2, numerics.activation_derivative(numerics.GELU, z))
+        dx = block.backward(np.cos(out))
+        runs.append([dx.tobytes()] + [g.tobytes() for g in block.grads().values()])
+    assert runs[0] == runs[1]
+
+    def forbidden(*args):
+        raise AssertionError("inference formed an activation derivative")
+
+    monkeypatch.setattr(numerics, "activation_with_derivative", forbidden)
+    monkeypatch.setattr(numerics, "activation_derivative", forbidden)
+    block.forward(prep, x)
+    assert all(m._cache is None for m in _modules(block))
 
 
 def test_backward_without_cache_raises_typed_error():
