@@ -1,12 +1,19 @@
 """Point-cloud container, cell-average subsampling, KD-tree neighborhood
 queries (kNN and ball query) and receptive-field statistics.
 
+Cell averaging ranks the integer cell coordinates with one `np.lexsort`
+(x major, then y, then z) and numbers the cells where a sorted row differs
+from the one before it.
+
 In both searches scipy's cKDTree proposes and an exact norm decides, and
 neither builds a Python object per query. kNN takes each query's k+1
 nearest points from the tree and selects again, from a wider candidate set,
 only the rows where a tie at the k-th distance may reach past them. Ball
 query takes every pair within a slightly widened radius from one sweep of
-a query tree against the support tree.
+a query tree against the support tree. A call builds the trees it needs,
+unless its caller passes `_trees`, a dict that keeps each cloud's tree for
+the calls that follow: `Encoder.prepare` builds one tree per pyramid level
+that way, and drops them all when it returns.
 
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
@@ -44,6 +51,8 @@ class PointCloud:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.ndim != 2 or self.features.shape[0] != n:
                 raise ShapeError("features row count must match positions")
+            if not np.all(np.isfinite(self.features)):
+                raise ValueError("features must be finite")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (n,):
@@ -97,12 +106,24 @@ def cell_average_subsample(cloud, cell_size):
     """Replace the points of each non-empty cell by their centroid.
 
     Features are averaged, labels take the majority vote (ties -> smallest
-    class id). Returns the subsampled cloud.
+    class id). Cells are numbered in ascending (x, y, z) order of their
+    integer coordinates. Returns the subsampled cloud.
     """
     _check_positive("cell_size", cell_size)
-    coords = np.floor(cloud.positions / cell_size).astype(np.int64)
-    _, inverse, counts = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as (N, 1) when axis is set
+    scaled = cloud.positions / cell_size
+    largest = np.abs(scaled).max(initial=0.0)
+    if not largest < 2.0**63:
+        raise ValueError(f"cell_size {cell_size!r} is too small for this cloud: the "
+                         f"largest |position|/cell_size, {largest:.6g}, overflows int64 "
+                         "cell coordinates")
+    coords = np.floor(scaled).astype(np.int64)
+    order = np.lexsort(coords.T[::-1])
+    ranked = coords[order]
+    first = np.ones(len(order), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(np.flatnonzero(first), len(order)))
 
     def cell_mean(values):
         # np.add.at accumulates in input order, so each centroid sums its
@@ -146,6 +167,16 @@ def _distances(a, b):
     return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
 
 
+def _tree(cloud, trees):
+    """The KD-tree over `cloud`: the one `trees` holds for it, else built and
+    stored there. `trees` is keyed by id(cloud), so its owner keeps every
+    cloud it names alive for as long as the dict lives."""
+    tree = trees.get(id(cloud))
+    if tree is None:
+        tree = trees[id(cloud)] = cKDTree(cloud.positions)
+    return tree
+
+
 def _pair_distances(query, support, qid, idx):
     return _distances(np.take(support.positions, idx, axis=0),
                       np.take(query.positions, qid, axis=0))
@@ -171,7 +202,7 @@ def _neighbor_list(num_queries, qid, idx):
     return NeighborList(offsets, idx)
 
 
-def knn(query, support, k):
+def knn(query, support, k, *, _trees=None):
     """k nearest support points per query (all of them if support has
     fewer than k points).
 
@@ -188,7 +219,7 @@ def knn(query, support, k):
         raise ValueError("support cloud must be non-empty")
     take = min(k, len(support))
     width = min(take + 1, len(support))
-    tree = cKDTree(support.positions)
+    tree = _tree(support, {} if _trees is None else _trees)
     tree_d, idx = tree.query(query.positions, k=list(range(1, width + 1)))
     d = _distances(np.take(support.positions, idx, axis=0), query.positions[:, None, :])
     # ties at the k-th distance break toward the smallest support index
@@ -215,7 +246,7 @@ def knn(query, support, k):
     return NeighborList(offsets, nearest.reshape(-1))
 
 
-def ball_query(query, support, radius):
+def ball_query(query, support, radius, *, _trees=None):
     """All support points within `radius` (inclusive) of each query point.
 
     One sweep of a query tree against the support tree (a single tree when
@@ -226,10 +257,9 @@ def ball_query(query, support, radius):
     _check_positive("radius", radius)
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
-    support_tree = cKDTree(support.positions)
-    query_tree = support_tree if query is support else cKDTree(query.positions)
-    pairs = query_tree.sparse_distance_matrix(support_tree, radius * (1.0 + _SLACK),
-                                              output_type="ndarray")
+    trees = {} if _trees is None else _trees
+    pairs = _tree(query, trees).sparse_distance_matrix(
+        _tree(support, trees), radius * (1.0 + _SLACK), output_type="ndarray")
     qid, idx = np.divmod(np.sort(pairs["i"] * len(support) + pairs["j"]), len(support))
     inside = _pair_distances(query, support, qid, idx) <= radius
     return _neighbor_list(len(query), qid[inside], idx[inside])

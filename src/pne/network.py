@@ -332,7 +332,8 @@ class EncoderConfig:
 @dataclass
 class PreparedSample:
     """Geometry precomputed once per cloud: pyramid and neighbor sites,
-    reusable across epochs and across models with the same neighborhood."""
+    reusable across epochs and across models with the same neighborhood.
+    Two names that denote the same search map to one site object."""
 
     clouds: list
     initial_features: np.ndarray
@@ -387,14 +388,22 @@ class Encoder(Module):
                 self.transitions.append(_conv_module(
                     config, rng, lvl + 1, width, config.widths[lvl + 1], f"down{lvl}"))
 
-    def _neighbors(self, query, support, level):
+    def _site(self, query, support, level, trees):
         nb = self.config.neighborhood
         if nb.kind == "ball_query":
-            return ball_query(query, support, nb.scale * self.config.level_cell(level))
-        return knn(query, support, nb.k)
+            nl = ball_query(query, support, nb.scale * self.config.level_cell(level), _trees=trees)
+        else:
+            nl = knn(query, support, nb.k, _trees=trees)
+        return make_site(query, support, nl)
 
     def prepare(self, cloud, for_decoder=False):
-        """Build the pyramid and every neighbor site this network will use."""
+        """Build the pyramid and every neighbor site this network will use.
+
+        Each level's KD-tree is built once, on its first search, and serves
+        every search on that level; the trees are dropped when this returns,
+        so the prepared sample holds none. `direct1` would repeat the search
+        of `up0` (query level 0, support level 1, level 1's radius or k), so
+        it is the same site object."""
         if len(cloud) == 0:
             raise DegenerateInputError("input cloud is empty")
         cfg = self.config
@@ -406,19 +415,17 @@ class Encoder(Module):
             if len(cur) == 0:
                 raise DegenerateInputError(f"pyramid level {lvl} is empty")
             clouds.append(cur)
+        trees = {}
         sites = {}
         for lvl in range(cfg.num_levels):
-            nl = self._neighbors(clouds[lvl], clouds[lvl], lvl)
-            sites[f"self{lvl}"] = make_site(clouds[lvl], clouds[lvl], nl)
+            sites[f"self{lvl}"] = self._site(clouds[lvl], clouds[lvl], lvl, trees)
             if lvl + 1 < cfg.num_levels:
-                nl = self._neighbors(clouds[lvl + 1], clouds[lvl], lvl + 1)
-                sites[f"down{lvl}"] = make_site(clouds[lvl + 1], clouds[lvl], nl)
+                sites[f"down{lvl}"] = self._site(clouds[lvl + 1], clouds[lvl], lvl + 1, trees)
                 if for_decoder:
-                    nl = self._neighbors(clouds[lvl], clouds[lvl + 1], lvl + 1)
-                    sites[f"up{lvl}"] = make_site(clouds[lvl], clouds[lvl + 1], nl)
+                    sites[f"up{lvl}"] = self._site(clouds[lvl], clouds[lvl + 1], lvl + 1, trees)
             if for_decoder and lvl >= 1:
-                nl = self._neighbors(clouds[0], clouds[lvl], lvl)
-                sites[f"direct{lvl}"] = make_site(clouds[0], clouds[lvl], nl)
+                sites[f"direct{lvl}"] = (sites["up0"] if lvl == 1 else
+                                         self._site(clouds[0], clouds[lvl], lvl, trees))
         return PreparedSample(
             clouds=clouds, initial_features=clouds[0].features, sites=sites
         )

@@ -41,6 +41,8 @@ def test_pointcloud_validation():
         PointCloud(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.inf, 0, 0]]))
+    with pytest.raises(ValueError, match="features must be finite"):
+        PointCloud(np.zeros((2, 3)), features=np.array([[1.0], [np.nan]]))
     with pytest.raises(ShapeError):
         PointCloud(np.zeros((2, 3)), labels=np.array([0]))
     with pytest.raises(ValueError):
@@ -91,6 +93,58 @@ def test_subsample_rejects_bad_cell_size(cell):
     cloud = PointCloud(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="cell_size must be finite and > 0"):
         cell_average_subsample(cloud, cell)
+
+
+def test_subsample_rejects_cell_coordinates_beyond_int64():
+    # 1e12 / 1e-7 = 1e19 > 2**63: cast to int64, both points would land in
+    # one cell and average to the origin
+    cloud = PointCloud(np.array([[1e12, 0.0, 0.0], [-1e12, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"cell_size 1e-07 .* 1e\+19"):
+        cell_average_subsample(cloud, 1e-7)
+
+
+def unique_subsample(cloud, cell_size):
+    """The cell averaging of `cell_average_subsample`, with its cells found
+    by np.unique(axis=0): positions, features and labels."""
+    coords = np.floor(cloud.positions / cell_size).astype(np.int64)
+    _, inverse, counts = np.unique(coords, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+
+    def cell_mean(values):
+        sums = np.zeros((len(counts), values.shape[1]))
+        np.add.at(sums, inverse, values)
+        return sums / counts[:, None]
+
+    num_classes = int(cloud.labels.max(initial=0)) + 1
+    votes = np.bincount(inverse * num_classes + cloud.labels, minlength=len(counts) * num_classes)
+    return (cell_mean(cloud.positions), cell_mean(cloud.features),
+            votes.reshape(len(counts), num_classes).argmax(axis=1))
+
+
+def subsample_cases(rng):
+    """Seeded (positions, cell size) pairs on the margins of cell averaging."""
+    # coordinates on cell boundaries, negative ones included
+    yield rng.integers(-4, 4, size=(200, 3)) * 0.25, 0.25
+    yield rng.integers(-4, 4, size=(200, 3)) * 0.5, 0.25
+    yield rng.uniform(-3, -1, size=(300, 3)), 0.4
+    yield rng.uniform(-1, 1, size=(300, 3)) + 1e6, 0.3
+    yield rng.uniform(-1, 1, size=(1, 3)), 0.3
+    yield rng.uniform(0.01, 0.09, size=(50, 3)), 0.1
+    base = rng.uniform(-1, 1, size=(40, 3))
+    yield np.concatenate([base, base, base[:10]])[rng.permutation(90)], 0.3
+
+
+def test_subsample_matches_unique_reference():
+    rng = np.random.default_rng(9)
+    for positions, cell in subsample_cases(rng):
+        n = len(positions)
+        # two classes drawn evenly, so many cells tie in the vote
+        cloud = PointCloud(positions, features=rng.normal(size=(n, 2)),
+                           labels=rng.integers(0, 2, size=n))
+        out = cell_average_subsample(cloud, cell)
+        for got, want in zip((out.positions, out.features, out.labels),
+                             unique_subsample(cloud, cell)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_subsample_feature_average():

@@ -1,9 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from pne import numerics
+from pne import geometry, numerics
 from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
-from pne.geometry import PointCloud, cell_average_subsample
+from pne.geometry import PointCloud, ball_query, cell_average_subsample, knn
 from pne.network import (
     ClassificationNetwork,
     EmbeddingSpec,
@@ -111,6 +114,63 @@ def test_encoder_level_counts_match_bruteforce():
         cells = {tuple(c) for c in np.floor(cur / cell).astype(int)}
         assert len(prep.clouds[lvl]) == len(cells)
         cur = prep.clouds[lvl].positions
+
+
+class CountedTree(cKDTree):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        CountedTree.built += 1
+
+
+def reachable(root):
+    """Every object reachable from `root` through gc referents, not
+    descending into types and modules."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(gc))):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+def site_clouds(name, clouds):
+    """(query cloud, support cloud, level that sets the radius) of a site."""
+    kind, lvl = name[:-1], int(name[-1])
+    if kind == "self":
+        return clouds[lvl], clouds[lvl], lvl
+    if kind == "down":
+        return clouds[lvl + 1], clouds[lvl], lvl + 1
+    if kind == "up":
+        return clouds[lvl], clouds[lvl + 1], lvl + 1
+    return clouds[0], clouds[lvl], lvl
+
+
+@pytest.mark.parametrize("kind", ["ball_query", "knn"])
+@pytest.mark.parametrize("network", [ClassificationNetwork, SegmentationNetwork])
+def test_prepare_builds_one_tree_per_level(monkeypatch, kind, network):
+    monkeypatch.setattr(geometry, "cKDTree", CountedTree)
+    monkeypatch.setattr(CountedTree, "built", 0)
+    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
+                      neighborhood=NeighborhoodSpec(kind=kind, k=5, scale=2.0))
+    net = network(cfg, num_classes=3, seed=0)
+    prep = net.prepare(random_cloud(300, seed=8))
+    assert CountedTree.built == 3
+    assert not [o for o in reachable(prep) if isinstance(o, cKDTree)]
+    if network is SegmentationNetwork:
+        assert prep.sites["direct1"] is prep.sites["up0"]
+        assert prep.sites["direct2"] is not prep.sites["up1"]
+    # every site holds the lists a search with trees of its own gives
+    for name, site in prep.sites.items():
+        query, support, level = site_clouds(name, prep.clouds)
+        want = (ball_query(query, support, 2.0 * cfg.level_cell(level)) if kind == "ball_query"
+                else knn(query, support, 5))
+        assert np.array_equal(site.neighbors.offsets, want.offsets)
+        assert np.array_equal(site.neighbors.indices, want.indices)
 
 
 def test_default_input_features():
