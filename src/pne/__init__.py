@@ -9,7 +9,6 @@ from .embeddings import (
     KernelPointEmbedding,
     MlpEmbedding,
     default_kernel_layout,
-    grid_kernel_points,
     icosahedron_kernel_points,
     init_mlp_embedding,
 )

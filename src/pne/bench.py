@@ -100,13 +100,9 @@ def prepare_dataset(model, samples, segmentation):
     the desk-scale benchmark, so geometry is reusable across epochs)."""
     preps = []
     for item in samples:
-        if segmentation:
-            cloud = item
-            prep = model.prepare(cloud)
-        else:
-            cloud, label = item
-            prep = model.prepare(cloud)
-            prep.label = label
+        cloud, label = (item, None) if segmentation else item
+        prep = model.prepare(cloud)
+        prep.label = label
         preps.append(prep)
     return preps
 

@@ -23,6 +23,10 @@ GAUSSIAN = "gaussian"
 
 CORRELATION_KINDS = (BOX, TRIANGULAR, GAUSSIAN)
 
+# first-layer frequency omega_0 of the sin embedding (SIREN): one
+# half-period across the receptive field
+SIN_FREQUENCY = np.pi
+
 
 def _check_offsets(offsets):
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -53,19 +57,6 @@ def icosahedron_kernel_points(shell_radius):
     verts = np.asarray(verts)
     verts = verts / np.linalg.norm(verts, axis=1, keepdims=True) * shell_radius
     return np.vstack([verts, np.zeros((1, 3))])
-
-
-def grid_kernel_points(m, extent):
-    """m^3 points at the cell centers of an m x m x m lattice over
-    [-extent, extent]^3, in lexicographic (x, y, z) order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
-    width = 2.0 * extent / m
-    axis = -extent + width * (np.arange(m) + 0.5)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    return np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
 
 
 def icosahedron_shell_spacing(shell_radius):
@@ -106,7 +97,7 @@ class Embedding:
     def jacobian_offsets(self, offsets):
         raise NotImplementedError
 
-    def gradient_params(self, offsets, upstream, derivative=None):
+    def gradient_params(self, offsets, upstream, derivative):
         """Gradients w.r.t. learnable parameters; empty for fixed embeddings.
         `derivative` is what `embed(offsets, with_derivative=True)` returned
         with the values, where the embedding has parameters."""
@@ -176,14 +167,13 @@ class KernelPointEmbedding(Embedding):
 class MlpEmbedding(Embedding):
     """Single linear layer plus activation: e(p) = act(W p + b).
 
-    For the sin activation the pre-activation is scaled by
-    `frequency_scale` (first-layer frequency): e(p) = sin(w0 (W p + b)).
+    For the sin activation the pre-activation is scaled by the first-layer
+    frequency omega_0 = `SIN_FREQUENCY`: e(p) = sin(omega_0 (W p + b)).
     """
 
     weights: np.ndarray
     biases: np.ndarray
     activation: str
-    frequency_scale: float = 1.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -202,7 +192,7 @@ class MlpEmbedding(Embedding):
         return self.weights.shape[0]
 
     def _omega(self):
-        return self.frequency_scale if self.activation == numerics.SIN else 1.0
+        return SIN_FREQUENCY if self.activation == numerics.SIN else 1.0
 
     def _pre(self, offsets):
         return self._omega() * (offsets @ self.weights.T + self.biases)
@@ -220,14 +210,12 @@ class MlpEmbedding(Embedding):
         dact = numerics.activation_derivative(self.activation, self._pre(offsets))
         return (self._omega() * dact)[..., None] * self.weights[None, :, :]
 
-    def gradient_params(self, offsets, upstream, derivative=None):
+    def gradient_params(self, offsets, upstream, derivative):
         offsets = _check_offsets(offsets)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (len(offsets), self.raw_dim):
             raise ShapeError("upstream must be (N, E)")
-        if derivative is None:
-            derivative = numerics.activation_derivative(self.activation, self._pre(offsets))
-        elif np.shape(derivative) != upstream.shape:
+        if np.shape(derivative) != upstream.shape:
             raise ShapeError("derivative must be (N, E)")
         dpre = self._omega() * upstream * derivative
         return {"weights": dpre.T @ offsets, "biases": dpre.sum(axis=0)}
@@ -253,7 +241,7 @@ class IdentityEmbedding(Embedding):
 def init_mlp_embedding(dim, neighborhood_radius, activation, seed):
     """MLP embedding with weights uniform in [-1/r, 1/r] so pre-activations
     over the receptive field land roughly in [-1, 1]; biases start at 0.
-    Sin uses frequency scale pi (one half-period across the receptive field).
+    Sin scales its pre-activation by `SIN_FREQUENCY` (pi).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -263,5 +251,4 @@ def init_mlp_embedding(dim, neighborhood_radius, activation, seed):
     bound = 1.0 / neighborhood_radius
     weights = rng.uniform(-bound, bound, size=(dim, 3))
     biases = np.zeros(dim)
-    omega = np.pi if activation == numerics.SIN else 1.0
-    return MlpEmbedding(weights, biases, activation, frequency_scale=omega)
+    return MlpEmbedding(weights, biases, activation)

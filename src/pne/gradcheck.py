@@ -63,18 +63,18 @@ def _make_embeddings(seed):
     kps = icosahedron_kernel_points(shell)
     rng = np.random.default_rng(seed)
 
-    def mlp(act, omega):
+    def mlp(act):
         w = rng.uniform(-1.5, 1.5, size=(8, 3))
         b = rng.uniform(-0.3, 0.3, size=8)
-        return MlpEmbedding(w, b, act, frequency_scale=omega)
+        return MlpEmbedding(w, b, act)
 
     return {
         "box": KernelPointEmbedding(kps, sigma, "box"),
         "triangular": KernelPointEmbedding(kps, sigma, "triangular"),
         "gaussian": KernelPointEmbedding(kps, sigma, "gaussian"),
-        "mlp_relu": mlp(numerics.RELU, 1.0),
-        "mlp_gelu": mlp(numerics.GELU, 1.0),
-        "mlp_sin": mlp(numerics.SIN, np.pi),
+        "mlp_relu": mlp(numerics.RELU),
+        "mlp_gelu": mlp(numerics.GELU),
+        "mlp_sin": mlp(numerics.SIN),
         "identity": IdentityEmbedding(),
     }
 
@@ -121,7 +121,7 @@ def check_embedding_params(n_probes=200, seed=1):
         mask = _kink_mask(emb, offsets)
         probes = offsets[mask]
         v = rng.standard_normal((len(probes), emb.raw_dim))
-        grads = emb.gradient_params(probes, v)
+        grads = emb.gradient_params(probes, v, emb.embed(probes, with_derivative=True)[1])
         for pname, param in emb.params().items():
             def loss(flat, pname=pname, param=param):
                 saved = param.copy()
@@ -135,10 +135,6 @@ def check_embedding_params(n_probes=200, seed=1):
             rows.append(CheckRow(f"embedding[{name}].{pname}", len(probes), err,
                                  TOL_LOCAL, err < TOL_LOCAL))
     return rows
-
-
-_CONV_EMB_KINDS = ("box", "triangular", "gaussian", "mlp_relu", "mlp_gelu",
-                   "mlp_sin", "identity")
 
 
 def _conv_instance(seed):

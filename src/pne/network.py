@@ -34,7 +34,6 @@ from .embeddings import (
     IdentityEmbedding,
     KernelPointEmbedding,
     default_kernel_layout,
-    grid_kernel_points,
     icosahedron_kernel_points,
     init_mlp_embedding,
 )
@@ -152,8 +151,7 @@ class LayerNorm(Module):
 
 
 class ConvModule(Module):
-    """A ConvLayer with a bias, as `init_conv_layer` builds it, bound to a
-    named geometry site of the prepared sample."""
+    """A ConvLayer bound to a named geometry site of the prepared sample."""
 
     def __init__(self, layer, site_name):
         self.layer = layer
@@ -214,6 +212,9 @@ class MetaformerBlock(Module):
     def _draw_keep(self, training, rng):
         if not training or self.drop_path_rate == 0.0:
             return 1.0
+        if rng is None:
+            raise ValueError(f"block at site {self.mixer.site_name!r}: drop path "
+                             f"(rate {self.drop_path_rate:g}) needs rng in a training forward")
         if rng.random() < self.drop_path_rate:
             return 0.0
         return 1.0 / (1.0 - self.drop_path_rate)
@@ -258,8 +259,6 @@ class EmbeddingSpec:
     activation: str = "gelu"       # mlp only
     mlp_dim: int = 16
     sigma_factor: float = 1.0
-    placement: str = "icosahedron"  # kp only: "icosahedron" | "grid"
-    grid_m: int = 3
 
     def label(self):
         if self.kind == "identity":
@@ -278,14 +277,7 @@ def build_embedding(spec, neighborhood_kind, radius, seed):
         return IdentityEmbedding()
     if spec.kind == "kp":
         shell_radius, sigma = default_kernel_layout(neighborhood_kind, radius, spec.sigma_factor)
-        if spec.placement == "icosahedron":
-            points = icosahedron_kernel_points(shell_radius)
-        elif spec.placement == "grid":
-            points = grid_kernel_points(spec.grid_m, shell_radius)
-            sigma = spec.sigma_factor * 2.0 * shell_radius / spec.grid_m
-        else:
-            raise ValueError(f"unknown placement: {spec.placement!r}")
-        return KernelPointEmbedding(points, sigma, spec.correlation)
+        return KernelPointEmbedding(icosahedron_kernel_points(shell_radius), sigma, spec.correlation)
     if spec.kind == "mlp":
         # receptive-field scale: the ball radius, or twice the average
         # neighbor distance for kNN

@@ -2,15 +2,12 @@
 
 Per query point x with neighbors N(x):
 
-    out_o(x) = norm * sum_{y in N(x)} sum_c f_c(y) <kappa[c, o, :], P^T e(y - x)>  (+ bias_o)
+    out_o(x) = norm * sum_{y in N(x)} sum_c f_c(y) <kappa[c, o, :], P^T e(y - x)> + bias_o
 
-where e is the neighborhood embedding, P projects the embedding's native
-dimension E_raw to a common dimension E_c (equalizing parameter counts across
-embedding kinds) and kappa is the learnable kernel tensor (I x O x E_c).
-
-norm is 1 ("sum", the literal definition) or 1/|N(x)| ("mean", the default:
-ball query yields variable neighbor counts and unnormalized sums scale with
-point density). Queries with empty neighborhoods output the bias (or 0).
+with norm = 1/|N(x)|, where e is the neighborhood embedding, P projects the
+embedding's native dimension E_raw to a common dimension E_c (equalizing
+parameter counts across embedding kinds) and kappa is the learnable kernel
+tensor (I x O x E_c). Queries with empty neighborhoods output the bias.
 
 Evaluation order. `make_site` lays the T stored pairs out once per site in
 a padded (M, Kmax) table of support indices, Kmax the largest neighbor count.
@@ -44,14 +41,13 @@ inference forward pays for it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ShapeError
 
-SUM = "sum"
 MEAN = "mean"
 
 
@@ -104,8 +100,9 @@ class ConvLayer:
     embedding: object
     projection: np.ndarray       # (E_raw, E_c)
     kernel: np.ndarray           # (I, O, E_c)
-    bias: Optional[np.ndarray] = None
-    normalize: str = MEAN
+    bias: np.ndarray             # (O,)
+    # the sum over N(x) is divided by |N(x)|; read by the benchmark's dense oracle
+    normalize: ClassVar[str] = MEAN
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64)
@@ -116,13 +113,10 @@ class ConvLayer:
             raise ShapeError("projection input dim must equal embedding raw_dim")
         if self.kernel.ndim != 3 or self.kernel.shape[2] != self.projection.shape[1]:
             raise ShapeError("kernel must be (I, O, E_c) with E_c matching projection")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.kernel.shape[1],):
-                raise ShapeError("bias must be (O,)")
-        if self.normalize not in (SUM, MEAN):
-            raise ValueError(f"normalize must be 'sum' or 'mean', got {self.normalize!r}")
-        for arr in (self.projection, self.kernel) + ((self.bias,) if self.bias is not None else ()):
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.bias.shape != (self.kernel.shape[1],):
+            raise ShapeError("bias must be (O,)")
+        for arr in (self.projection, self.kernel, self.bias):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("layer parameters must be finite")
 
@@ -141,15 +135,13 @@ class ConvGradients:
     d_kernel: np.ndarray
     d_projection: np.ndarray
     d_embedding_params: dict
-    d_bias: Optional[np.ndarray] = None
+    d_bias: np.ndarray
     d_offsets: Optional[np.ndarray] = None
 
 
-def _norm_weights(layer, counts):
-    """Per-query output scale; an empty query has no pairs, so its weight
-    meets only zeros."""
-    if layer.normalize == SUM:
-        return np.ones(len(counts))
+def _norm_weights(counts):
+    """Per-query output scale 1/|N(x)|; an empty query has no pairs, so its
+    weight meets only zeros."""
     return 1.0 / np.maximum(counts, 1)
 
 
@@ -194,11 +186,9 @@ def _forward_site(layer, site, features, keep=True):
     epad = epad.reshape(m, kmax, r)
     fpad = _padded_features(site, features)
     zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)
-    w = _norm_weights(layer, site.counts)
+    w = _norm_weights(site.counts)
     k_eff = _effective_kernel(layer)
-    out = (zq @ k_eff) * w[:, None]
-    if layer.bias is not None:
-        out = out + layer.bias
+    out = (zq @ k_eff) * w[:, None] + layer.bias
     if not keep:
         return out, None
     return out, (epad, fpad, dact, zq, w, k_eff)
@@ -223,7 +213,7 @@ def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
     dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
     d_pairs = _at_pairs(site, np.matmul(epad, dz))            # (T, I)
     d_features = site.from_pairs @ d_pairs
-    d_bias = upstream.sum(axis=0) if layer.bias is not None else None
+    d_bias = upstream.sum(axis=0)
     d_emb = {}
     d_offsets = None
     if layer.embedding.params() or with_offsets:
@@ -270,8 +260,7 @@ def _truncated_normal(rng, std, size, clip=2.0):
     return out
 
 
-def init_conv_layer(embedding, in_features, out_features, embed_dim=16, seed=0,
-                    normalize=MEAN):
+def init_conv_layer(embedding, in_features, out_features, embed_dim=16, seed=0):
     """Kernel ~ N(0, 1/(E_c * I)) truncated at 2 std; projection ~ N(0, 1/E_raw);
     bias zero. Deterministic per seed."""
     if min(in_features, out_features, embed_dim) < 1:
@@ -283,5 +272,4 @@ def init_conv_layer(embedding, in_features, out_features, embed_dim=16, seed=0,
     projection = rng.standard_normal((embedding.raw_dim, embed_dim)) * np.sqrt(
         1.0 / embedding.raw_dim
     )
-    return ConvLayer(embedding, projection, kernel, bias=np.zeros(out_features),
-                     normalize=normalize)
+    return ConvLayer(embedding, projection, kernel, bias=np.zeros(out_features))

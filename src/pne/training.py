@@ -11,33 +11,40 @@ import numpy as np
 
 from .errors import ShapeError, StatisticsError, TrainingFault
 
+# one-cycle lr: the start divides max_lr, the end divides the start
+ONECYCLE_DIV = 10.0
+ONECYCLE_FINAL_DIV = 1000.0
+
+# AdamW moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OneCycleSchedule:
-    """Cosine ramp from max_lr/div_factor to max_lr over the warmup
-    fraction, then cosine decay to (max_lr/div_factor)/final_factor.
-    The final factor divides the *initial* lr, the common convention."""
+    """Cosine ramp from max_lr/ONECYCLE_DIV to max_lr over the warmup
+    fraction, then cosine decay to (max_lr/ONECYCLE_DIV)/ONECYCLE_FINAL_DIV.
+    The final divisor divides the *initial* lr, the common convention."""
 
     max_lr: float = 0.005
-    div_factor: float = 10.0
-    final_factor: float = 1000.0
     warmup_fraction: float = 0.3
     total_steps: int = 1000
 
     def __post_init__(self):
         if self.max_lr <= 0:
             raise ValueError("max_lr must be positive")
-        if self.div_factor <= 1 or self.final_factor <= 1:
-            raise ValueError("factors must be > 1")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0, 1)")
+        if self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
 
 
 def onecycle_lr(schedule, step):
     if step > schedule.total_steps:
         raise ValueError(f"step {step} beyond total_steps {schedule.total_steps}")
-    initial = schedule.max_lr / schedule.div_factor
-    final = initial / schedule.final_factor
+    initial = schedule.max_lr / ONECYCLE_DIV
+    final = initial / ONECYCLE_FINAL_DIV
     warmup_steps = schedule.warmup_fraction * schedule.total_steps
     # convex-combination form so the endpoints are hit exactly
     if step <= warmup_steps:
@@ -67,9 +74,6 @@ def clip_grad_norm(grads, max_norm):
 
 @dataclass
 class AdamWState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -81,8 +85,8 @@ def adamw_step(state, params, grads, lr):
     adaptive step (p -= lr * wd * p)."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -91,13 +95,13 @@ def adamw_step(state, params, grads, lr):
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
         if state.weight_decay:
             p -= lr * state.weight_decay * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if not np.all(np.isfinite(p)):
             raise TrainingFault("non-finite parameter", step=t, tensor=name)
     return params

@@ -30,7 +30,7 @@ from pne.gradcheck import (
     check_network_gradients,
     gradient_check_report,
 )
-from pne.pointconv import MEAN, ConvLayer, conv_forward, init_conv_layer
+from pne.pointconv import ConvLayer, conv_forward, init_conv_layer
 from pne.training import clip_grad_norm, OneCycleSchedule, onecycle_lr
 
 
@@ -162,8 +162,7 @@ def test_criterion_4_convolution_properties():
         out - conv_forward(layer, query, support, NeighborList(nl.offsets, idx),
                            features)).max()
 
-    nobias = ConvLayer(layer.embedding, layer.projection, layer.kernel,
-                       bias=None, normalize=MEAN)
+    nobias = ConvLayer(layer.embedding, layer.projection, layer.kernel, bias=np.zeros(4))
     f1 = rng.standard_normal((24, 3))
     f2 = rng.standard_normal((24, 3))
     a, b = 0.6, -1.3
@@ -272,8 +271,7 @@ def test_criterion_8_cli_determinism(tmp_path, monkeypatch):
 
 
 def test_criterion_9_scheduler_and_clipping():
-    sched = OneCycleSchedule(max_lr=0.005, div_factor=10.0, final_factor=1000.0,
-                             warmup_fraction=0.3, total_steps=1000)
+    sched = OneCycleSchedule(max_lr=0.005, warmup_fraction=0.3, total_steps=1000)
     start_exact = onecycle_lr(sched, 0) == 5e-4
     peak_exact = onecycle_lr(sched, 300) == 0.005
     final_exact = onecycle_lr(sched, 1000) == 5e-7

@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pne import numerics
 from pne.embeddings import (
+    SIN_FREQUENCY,
     IdentityEmbedding,
     KernelPointEmbedding,
     MlpEmbedding,
     default_kernel_layout,
-    grid_kernel_points,
     icosahedron_kernel_points,
     icosahedron_shell_spacing,
     init_mlp_embedding,
@@ -35,17 +37,6 @@ def test_icosahedron_min_pairwise_angle():
 def test_icosahedron_bad_radius():
     with pytest.raises(ValueError):
         icosahedron_kernel_points(0.0)
-
-
-def test_grid_kernel_points():
-    assert np.array_equal(grid_kernel_points(1, 1.0), np.zeros((1, 3)))
-    pts = grid_kernel_points(2, 1.0)
-    assert pts.shape == (8, 3)
-    assert np.all(np.abs(np.abs(pts) - 0.5) < 1e-12)
-    pts3 = grid_kernel_points(3, 1.0)
-    assert any(np.allclose(p, 0.0) for p in pts3)
-    with pytest.raises(ValueError):
-        grid_kernel_points(0, 1.0)
 
 
 def test_default_kernel_layout():
@@ -114,10 +105,9 @@ def test_embedding_ranges():
 
 
 def test_mlp_sin_value():
-    emb = MlpEmbedding(np.array([[np.pi, 0.0, 0.0]]), np.zeros(1), numerics.SIN,
-                       frequency_scale=1.0)
+    emb = MlpEmbedding(np.array([[1.0, 0.0, 0.0]]), np.zeros(1), numerics.SIN)
     e = emb.embed(np.array([[0.5, 0.0, 0.0]]))
-    assert e[0, 0] == pytest.approx(1.0)
+    assert e[0, 0] == pytest.approx(1.0)  # sin(pi * 0.5)
 
 
 def test_identity_embedding():
@@ -127,7 +117,7 @@ def test_identity_embedding():
     assert emb.raw_dim == 3
     jac = emb.jacobian_offsets(off)
     assert np.array_equal(jac[0], np.eye(3))
-    assert emb.gradient_params(off, off) == {}
+    assert emb.gradient_params(off, off, None) == {}
 
 
 def test_translation_invariance():
@@ -189,23 +179,24 @@ def test_mlp_jacobian_matches_finite_diff(act):
 def test_mlp_gradient_params_zero_upstream():
     emb = init_mlp_embedding(4, 1.0, numerics.GELU, seed=8)
     offs = np.random.default_rng(9).uniform(-1, 1, size=(10, 3))
-    g = emb.gradient_params(offs, np.zeros((10, 4)))
+    _, dact = emb.embed(offs, with_derivative=True)
+    g = emb.gradient_params(offs, np.zeros((10, 4)), dact)
     assert np.all(g["weights"] == 0.0) and np.all(g["biases"] == 0.0)
 
 
 def test_mlp_gradient_params_linear_limit():
-    # Sin near 0 with frequency scale 1 behaves linearly: dL/dW ~ upstream p^T
-    emb = MlpEmbedding(np.zeros((2, 3)), np.zeros(2), numerics.SIN, frequency_scale=1.0)
+    # Sin near 0 behaves linearly: dL/dW ~ omega_0 upstream p^T
+    emb = MlpEmbedding(np.zeros((2, 3)), np.zeros(2), numerics.SIN)
     p = np.array([[1e-4, 2e-4, -1e-4]])
     up = np.array([[1.0, -2.0]])
-    g = emb.gradient_params(p, up)
-    assert np.allclose(g["weights"], up.T @ p, atol=1e-7)
+    g = emb.gradient_params(p, up, emb.embed(p, with_derivative=True)[1])
+    assert np.allclose(g["weights"], SIN_FREQUENCY * up.T @ p, atol=1e-7)
 
 
 @pytest.mark.parametrize("act", numerics.ACTIVATION_KINDS)
 def test_mlp_embed_with_derivative_feeds_gradient_params(act):
-    """The derivative `embed` returns with e is the one `gradient_params`
-    would form from the offsets: values and gradients are bit for bit."""
+    """The derivative `embed` returns with e is the one formed from the
+    offsets alone: values and gradients are bit for bit."""
     emb = init_mlp_embedding(5, 1.0, act, seed=12)
     rng = np.random.default_rng(13)
     offs = rng.uniform(-1, 1, size=(40, 3))
@@ -214,7 +205,7 @@ def test_mlp_embed_with_derivative_feeds_gradient_params(act):
     assert dact.tobytes() == numerics.activation_derivative(act, emb._pre(offs)).tobytes()
     up = rng.standard_normal((40, 5))
     kept = emb.gradient_params(offs, up, dact)
-    fresh = emb.gradient_params(offs, up)
+    fresh = emb.gradient_params(offs, up, numerics.activation_derivative(act, emb._pre(offs)))
     for k in ("weights", "biases"):
         assert kept[k].tobytes() == fresh[k].tobytes()
     with pytest.raises(ShapeError):
@@ -261,7 +252,8 @@ def test_init_mlp_embedding_bounds():
     v = v / np.linalg.norm(v, axis=1, keepdims=True) * 2.0
     assert np.all(np.abs(v @ emb.weights.T) <= np.sqrt(3) + 1e-12)
     sin_emb = init_mlp_embedding(4, 1.0, numerics.SIN, seed=12)
-    assert sin_emb.frequency_scale == pytest.approx(np.pi)
+    offs = rng.uniform(-1, 1, size=(10, 3))
+    assert np.array_equal(sin_emb.embed(offs), np.sin(np.pi * (offs @ sin_emb.weights.T)))
 
 
 def _kp_reference(emb, offsets):
@@ -288,7 +280,7 @@ def test_kp_matches_difference_tensor_reference(corr, placement):
         kps = icosahedron_kernel_points(1.0)
         sigma, center = icosahedron_shell_spacing(1.0), 12
     else:
-        kps = grid_kernel_points(3, 1.0)
+        kps = np.array(list(itertools.product((-2.0 / 3.0, 0.0, 2.0 / 3.0), repeat=3)))
         sigma, center = 2.0 / 3.0, 13
     assert np.array_equal(kps[center], np.zeros(3))
     emb = KernelPointEmbedding(kps, sigma, corr)
@@ -313,7 +305,7 @@ def test_kp_matches_difference_tensor_reference(corr, placement):
 
 
 def test_kp_box_exact_tie_goes_to_smallest_index():
-    emb = KernelPointEmbedding(grid_kernel_points(2, 1.0), 1.0, "box")
+    emb = KernelPointEmbedding(np.array(list(itertools.product((-0.5, 0.5), repeat=3))), 1.0, "box")
     origin = np.zeros((1, 3))
     d2 = np.square(emb.kernel_points).sum(axis=1)
     assert np.all(d2 == 0.75)  # all 8 corners tie

@@ -103,6 +103,17 @@ def test_drop_path_branch_unbiased():
         pytest.fail("never drew keep-mixer/drop-mlp in 50 tries")
 
 
+def test_drop_path_without_rng_names_the_site():
+    """A training forward that draws drop path but has no rng raises a
+    ValueError naming the block's site; inference draws nothing."""
+    cfg = make_config(drop_path_max=0.5, widths=[4], blocks_per_level=[2])
+    net = ClassificationNetwork(cfg, num_classes=3, seed=3)
+    prep = net.prepare(random_cloud(40, seed=4))
+    with pytest.raises(ValueError, match="site 'self0'.*needs rng"):
+        net.forward(prep, training=True)
+    assert np.all(np.isfinite(net.forward(prep)))
+
+
 def test_encoder_level_counts_match_bruteforce():
     cloud = random_cloud(200, seed=6)
     cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.25)
@@ -455,7 +466,7 @@ def test_knn_neighborhood_variant():
 @pytest.mark.parametrize("spec", [
     EmbeddingSpec(kind="kp", correlation="box"),
     EmbeddingSpec(kind="kp", correlation="triangular"),
-    EmbeddingSpec(kind="kp", correlation="gaussian", placement="grid", grid_m=2),
+    EmbeddingSpec(kind="kp", correlation="gaussian", sigma_factor=0.5),
     EmbeddingSpec(kind="mlp", activation="relu", mlp_dim=5),
     EmbeddingSpec(kind="mlp", activation="sin", mlp_dim=5),
     EmbeddingSpec(kind="identity"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,8 +11,6 @@ from pne.geometry import NeighborList, PointCloud, ball_query
 from pne.gradcheck import H, TOL_LOCAL, _kink_mask, _rel_error
 from pne.network import EmbeddingSpec, build_embedding
 from pne.pointconv import (
-    MEAN,
-    SUM,
     ConvLayer,
     _backward_site,
     _forward_site,
@@ -23,13 +23,12 @@ from pne.pointconv import (
 
 def single_neighbor_setup():
     """Identity embedding, E_c=3, P=I, I=O=1, one neighbor at offset (1,0,0),
-    feature 2, kappa=[0.5,0,0], Sum normalization."""
+    feature 2, kappa=[0.5,0,0], zero bias."""
     layer = ConvLayer(
         embedding=IdentityEmbedding(),
         projection=np.eye(3),
         kernel=np.array([[[0.5, 0.0, 0.0]]]),
-        bias=None,
-        normalize=SUM,
+        bias=np.zeros(1),
     )
     query = PointCloud(np.array([[0.0, 0.0, 0.0]]))
     support = PointCloud(np.array([[1.0, 0.0, 0.0]]))
@@ -47,10 +46,13 @@ def test_forward_single_neighbor_hand_value():
 
 
 def test_duplicate_neighbor_under_mean_unchanged():
+    """Listing the one neighbor twice in a query's row of the padded table
+    leaves the mean and the feature and kernel gradients unchanged, and
+    halves each pair's offset gradient."""
     layer, query, support, nl, features = single_neighbor_setup()
-    layer = ConvLayer(layer.embedding, layer.projection, layer.kernel, normalize=MEAN)
     out1 = conv_forward(layer, query, support, nl, features)
     nl2 = NeighborList(np.array([0, 2]), np.array([0, 0]))
+    assert np.array_equal(make_site(query, support, nl2).table, [[0, 0]])
     out2 = conv_forward(layer, query, support, nl2, features)
     assert np.allclose(out1, out2)
     up = np.array([[3.0]])
@@ -61,25 +63,9 @@ def test_duplicate_neighbor_under_mean_unchanged():
     assert np.allclose(g2.d_offsets, np.vstack([g1.d_offsets] * 2) / 2, rtol=1e-14, atol=0.0)
 
 
-def test_duplicate_neighbor_under_sum_doubles():
-    """Listing the one neighbor twice in a query's row of the padded table
-    doubles the output and the feature and kernel gradients."""
-    layer, query, support, nl, features = single_neighbor_setup()
-    nl2 = NeighborList(np.array([0, 2]), np.array([0, 0]))
-    assert np.array_equal(make_site(query, support, nl2).table, [[0, 0]])
-    up = np.array([[3.0]])
-    g1 = conv_backward(layer, query, support, nl, features, up)
-    g2 = conv_backward(layer, query, support, nl2, features, up)
-    out2 = conv_forward(layer, query, support, nl2, features)
-    assert out2[0, 0] == pytest.approx(2.0)
-    assert np.allclose(g2.d_features, 2 * g1.d_features, rtol=1e-14, atol=0.0)
-    assert np.allclose(g2.d_kernel, 2 * g1.d_kernel, rtol=1e-14, atol=0.0)
-
-
 def test_empty_neighborhood_outputs_bias():
     layer, _, support, _, features = single_neighbor_setup()
-    layer = ConvLayer(layer.embedding, layer.projection, layer.kernel,
-                      bias=np.array([7.0]), normalize=MEAN)
+    layer = ConvLayer(layer.embedding, layer.projection, layer.kernel, bias=np.array([7.0]))
     query = PointCloud(np.array([[50.0, 0.0, 0.0]]))
     nl = NeighborList(np.array([0, 0]), np.empty(0, dtype=np.int64))
     out = conv_forward(layer, query, support, nl, features)
@@ -95,14 +81,14 @@ def test_empty_neighborhood_outputs_bias():
     assert g.d_offsets.shape == (0, 3)
 
 
-def random_instance(seed, emb=None, normalize=MEAN, i=3, o=2):
+def random_instance(seed, emb=None, i=3, o=2):
     rng = np.random.default_rng(seed)
     support = PointCloud(rng.uniform(-1, 1, size=(16, 3)))
     query = PointCloud(rng.uniform(-1, 1, size=(7, 3)))
     nl = ball_query(query, support, 1.0)
     if emb is None:
         emb = KernelPointEmbedding(icosahedron_kernel_points(0.6), 0.7, "gaussian")
-    layer = init_conv_layer(emb, i, o, embed_dim=4, seed=seed, normalize=normalize)
+    layer = init_conv_layer(emb, i, o, embed_dim=4, seed=seed)
     features = rng.standard_normal((16, i))
     return layer, query, support, nl, features
 
@@ -126,8 +112,7 @@ def test_feature_linearity():
     f1 = rng.standard_normal((16, 3))
     f2 = rng.standard_normal((16, 3))
     a, b = 1.7, -0.4
-    layer = ConvLayer(layer.embedding, layer.projection, layer.kernel,
-                      bias=None, normalize=layer.normalize)
+    layer = ConvLayer(layer.embedding, layer.projection, layer.kernel, bias=np.zeros(2))
     lhs = conv_forward(layer, query, support, nl, a * f1 + b * f2)
     rhs = a * conv_forward(layer, query, support, nl, f1) + b * conv_forward(
         layer, query, support, nl, f2)
@@ -169,11 +154,13 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         conv_backward(layer, query, support, nl, features, np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        ConvLayer(IdentityEmbedding(), np.eye(4), np.zeros((1, 1, 4)))
+        ConvLayer(IdentityEmbedding(), np.eye(4), np.zeros((1, 1, 4)), bias=np.zeros(1))
     with pytest.raises(ShapeError):
-        ConvLayer(IdentityEmbedding(), np.eye(3), np.zeros((1, 1, 4)))
+        ConvLayer(IdentityEmbedding(), np.eye(3), np.zeros((1, 1, 4)), bias=np.zeros(1))
+    with pytest.raises(ShapeError):
+        ConvLayer(IdentityEmbedding(), np.eye(3), np.zeros((1, 2, 3)), bias=np.zeros(1))
     with pytest.raises(ValueError):
-        ConvLayer(IdentityEmbedding(), np.eye(3), np.zeros((1, 1, 3)), normalize="median")
+        ConvLayer(IdentityEmbedding(), np.eye(3), np.zeros((1, 1, 3)), bias=np.array([np.nan]))
 
 
 def test_init_deterministic_and_bias_zero():
@@ -193,16 +180,15 @@ def test_init_truncation():
 
 
 def test_init_variance_preserving():
-    """Sum normalization, one neighbor at a norm-sqrt(3) offset (unit variance
-    per embedding coordinate), identity embedding: output variance within a
-    factor of 4 of the input variance."""
+    """One neighbor at a norm-sqrt(3) offset (unit variance per embedding
+    coordinate), identity embedding: output variance within a factor of 4 of
+    the input variance."""
     rng = np.random.default_rng(13)
     i = o = 16
     in_var = []
     out_var = []
     for trial in range(100):
-        layer = init_conv_layer(IdentityEmbedding(), i, o, embed_dim=16,
-                                seed=trial, normalize=SUM)
+        layer = init_conv_layer(IdentityEmbedding(), i, o, embed_dim=16, seed=trial)
         v = rng.standard_normal(3)
         v *= np.sqrt(3.0) / np.linalg.norm(v)
         query = PointCloud(np.zeros((1, 3)))
@@ -234,14 +220,17 @@ def test_parameter_count_equalization():
 
 
 def test_sum_vs_mean():
-    layer, query, support, nl, features = random_instance(15, normalize=SUM)
-    out_sum = conv_forward(layer, query, support, nl, features)
-    layer_mean = ConvLayer(layer.embedding, layer.projection, layer.kernel,
-                           bias=layer.bias, normalize=MEAN)
-    out_mean = conv_forward(layer_mean, query, support, nl, features)
-    counts = nl.counts.astype(float)
-    nz = counts > 0
-    assert np.allclose(out_mean[nz], out_sum[nz] / counts[nz, None])
+    """The conv takes the mean over N(x), not the paper's literal sum:
+    listing every support point twice doubles each |N(x)| and the sum, and
+    leaves the output unchanged."""
+    layer, query, support, nl, features = random_instance(15)
+    layer.bias = np.array([0.5, -2.0])
+    out = conv_forward(layer, query, support, nl, features)
+    doubled = PointCloud(np.vstack([support.positions] * 2))
+    nl2 = ball_query(query, doubled, 1.0)
+    assert np.array_equal(nl2.counts, 2 * nl.counts) and nl.counts.max() > 1
+    out2 = conv_forward(layer, query, doubled, nl2, np.vstack([features] * 2))
+    assert np.allclose(out2, out, rtol=1e-12, atol=1e-12)
 
 
 def test_make_site_padded_table():
@@ -261,9 +250,10 @@ def test_make_site_padded_table():
     assert np.array_equal(site.table.ravel()[site.slot], nl.indices)
 
 
-def dense_conv_all(layer, nl, offsets, features):
+def dense_conv_all(layer, nl, offsets, features, formula):
     """The paper's formula query by query: every (pair, channel) term formed
-    and summed directly, as the benchmark's dense conv oracle does."""
+    and summed directly, as the benchmark's dense conv oracle does. The
+    "sum" formula is the literal sum over N(x); "mean" divides it by |N(x)|."""
     rows = []
     for q in range(nl.num_queries):
         lo, hi = nl.offsets[q], nl.offsets[q + 1]
@@ -271,11 +261,9 @@ def dense_conv_all(layer, nl, offsets, features):
         if hi > lo:
             g = layer.embedding.embed(offsets[lo:hi]) @ layer.projection   # (T, E_c)
             out = np.einsum("tc,coe,te->o", features[nl.indices[lo:hi]], layer.kernel, g)
-            if layer.normalize == MEAN:
+            if formula == "mean":
                 out = out / (hi - lo)
-        if layer.bias is not None:
-            out = out + layer.bias
-        rows.append(out)
+        rows.append(out + layer.bias)
     return np.array(rows)
 
 
@@ -283,21 +271,31 @@ DENSE_SPECS = {
     "kp_box": EmbeddingSpec(kind="kp", correlation="box"),
     "kp_triangular": EmbeddingSpec(kind="kp", correlation="triangular"),
     "kp_gaussian": EmbeddingSpec(kind="kp", correlation="gaussian"),
-    "kp_gaussian_grid3": EmbeddingSpec(kind="kp", correlation="gaussian",
-                                       placement="grid", grid_m=3),
     "mlp_relu": EmbeddingSpec(kind="mlp", activation="relu"),
     "mlp_gelu": EmbeddingSpec(kind="mlp", activation="gelu"),
     "mlp_sin": EmbeddingSpec(kind="mlp", activation="sin"),
     "identity": EmbeddingSpec(kind="identity"),
 }
+# 27 kernel points on the 3 x 3 x 3 lattice of cell centers over [-0.6, 0.6]^3
+LATTICE3 = np.array(list(itertools.product((-0.4, 0.0, 0.4), repeat=3)))
 
 
-@pytest.mark.parametrize("normalize", [SUM, MEAN])
-@pytest.mark.parametrize("name", sorted(DENSE_SPECS))
-def test_conv_matches_dense_formula(name, normalize):
+def dense_embedding(name):
+    if name == "kp_gaussian_grid3":
+        return KernelPointEmbedding(LATTICE3, 0.4, "gaussian")
+    return build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3)
+
+
+@pytest.mark.parametrize("formula", ["sum", "mean"])
+@pytest.mark.parametrize("name", sorted([*DENSE_SPECS, "kp_gaussian_grid3"]))
+def test_conv_matches_dense_formula(name, formula):
     """Forward output equals the dense per-pair formula, and every analytic
-    gradient matches finite differences of it. E_raw runs from 3 (identity)
-    to 27 (3x3x3 grid) against E_c = 16; two queries have empty balls."""
+    gradient matches finite differences of it. Under "sum" the reference is
+    the paper's literal sum over N(x): the conv's mean output, less the bias,
+    and its upstream gradient are scaled by |N(x)|. The bias enters once per
+    query either way, so its gradient is checked under "mean". E_raw runs
+    from 3 (identity) to 27 (3x3x3 lattice) against E_c = 16; two queries
+    have empty balls."""
     rng = np.random.default_rng(0)
     support = PointCloud(rng.uniform(-1.0, 1.0, size=(14, 3)))
     query = PointCloud(np.vstack([rng.uniform(-0.5, 0.5, size=(5, 3)),
@@ -305,22 +303,24 @@ def test_conv_matches_dense_formula(name, normalize):
     nl = ball_query(query, support, 1.0)
     empty = nl.counts == 0
     assert empty.sum() == 2 and nl.counts[~empty].min() > 0
-    emb = build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3)
-    layer = init_conv_layer(emb, 2, 3, embed_dim=16, normalize=normalize, seed=4)
+    emb = dense_embedding(name)
+    layer = init_conv_layer(emb, 2, 3, embed_dim=16, seed=4)
     layer.bias = rng.standard_normal(3)
     features = rng.standard_normal((len(support), 2))
     site = make_site(query, support, nl)
     out, cache = _forward_site(layer, site, features)
-    want = dense_conv_all(layer, nl, site.offsets, features)
-    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(out[empty], np.broadcast_to(layer.bias, (2, 3)))
+    scale = np.maximum(nl.counts, 1)[:, None] if formula == "sum" else 1.0
+    want = dense_conv_all(layer, nl, site.offsets, features, formula)
+    assert np.abs((out - layer.bias) * scale - (want - layer.bias)).max() <= (
+        1e-12 * np.abs(want).max())
 
     v = rng.standard_normal(out.shape)
-    g = _backward_site(layer, site, features, v, cache, with_offsets=True)
+    g = _backward_site(layer, site, features, v * scale, cache, with_offsets=True)
     assert set(g.d_embedding_params) == set(emb.params())
 
     def loss(offsets=site.offsets, f=features):
-        return np.array([np.sum(v * dense_conv_all(layer, nl, offsets, f))])
+        return np.array([np.sum(v * dense_conv_all(layer, nl, offsets, f, formula))])
 
     def fd_param(param):
         saved = param.copy()
@@ -334,13 +334,14 @@ def test_conv_matches_dense_formula(name, normalize):
         return fd
 
     checks = [("kernel", g.d_kernel, fd_param(layer.kernel)),
-              ("projection", g.d_projection, fd_param(layer.projection)),
-              ("bias", g.d_bias, fd_param(layer.bias))]
+              ("projection", g.d_projection, fd_param(layer.projection))]
+    if formula == "mean":
+        checks.append(("bias", g.d_bias, fd_param(layer.bias)))
     checks += [(f"emb.{k}", g.d_embedding_params[k], fd_param(p)) for k, p in emb.params().items()]
     fd = numerics.finite_diff_jacobian(lambda flat: loss(f=flat.reshape(features.shape)),
                                        features.ravel(), h=H)
     checks.append(("features", g.d_features, fd.reshape(features.shape)))
-    if DENSE_SPECS[name].correlation == "box" and DENSE_SPECS[name].kind == "kp":
+    if name == "kp_box":
         assert np.all(g.d_offsets == 0.0)
     else:
         fd = numerics.finite_diff_jacobian(lambda flat: loss(offsets=flat.reshape(-1, 3)),
@@ -355,8 +356,7 @@ def test_conv_matches_dense_formula(name, normalize):
 def test_unreferenced_support_gets_zero_feature_gradient(name):
     """A support point no pair references, stored last where a shadow slot
     read off by one would land, gets an exactly zero d_features row."""
-    layer, query, support, nl, features = random_instance(
-        16, emb=build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3))
+    layer, query, support, nl, features = random_instance(16, emb=dense_embedding(name))
     support = PointCloud(np.vstack([support.positions, [[30.0, 0.0, 0.0]]]))
     features = np.vstack([features, np.full((1, features.shape[1]), 5.0)])
     site = make_site(query, support, nl)
@@ -394,7 +394,7 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
     seen = []
     original = emb.gradient_params
 
-    def spy(offsets, upstream, derivative=None):
+    def spy(offsets, upstream, derivative):
         seen.append((upstream, derivative))
         return original(offsets, upstream, derivative)
 
@@ -403,7 +403,7 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
     g = _backward_site(layer, site, features, up, cache)
     ((d_e, derivative),) = seen
     assert derivative is not None
-    fresh = original(site.offsets, d_e)
+    fresh = original(site.offsets, d_e, numerics.activation_derivative(act, emb._pre(site.offsets)))
     assert set(g.d_embedding_params) == {"weights", "biases"}
     for k, v in fresh.items():
         assert g.d_embedding_params[k].tobytes() == v.tobytes()

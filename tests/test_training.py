@@ -3,6 +3,7 @@ import pytest
 
 from pne.errors import ShapeError, StatisticsError, TrainingFault
 from pne.training import (
+    ONECYCLE_DIV,
     AdamWState,
     Metrics,
     OneCycleSchedule,
@@ -17,8 +18,7 @@ from pne.training import (
 
 
 def test_onecycle_endpoints():
-    s = OneCycleSchedule(max_lr=0.005, div_factor=10.0, final_factor=1000.0,
-                         warmup_fraction=0.3, total_steps=1000)
+    s = OneCycleSchedule(max_lr=0.005, warmup_fraction=0.3, total_steps=1000)
     assert onecycle_lr(s, 0) == pytest.approx(5e-4, rel=0, abs=0)
     assert onecycle_lr(s, 300) == pytest.approx(0.005, rel=0, abs=0)
     assert onecycle_lr(s, 1000) == pytest.approx(5e-7, rel=0, abs=0)
@@ -29,7 +29,7 @@ def test_onecycle_continuity():
     lrs = [onecycle_lr(s, t) for t in range(201)]
     # bounded by the analytic cosine slope bound on each phase
     warm = int(0.3 * 200)
-    bound_w = (s.max_lr - s.max_lr / s.div_factor) * np.pi / (2 * warm)
+    bound_w = (s.max_lr - s.max_lr / ONECYCLE_DIV) * np.pi / (2 * warm)
     bound_d = s.max_lr * np.pi / (2 * (200 - warm))
     diffs = np.abs(np.diff(lrs))
     assert diffs.max() <= max(bound_w, bound_d) + 1e-12
@@ -39,8 +39,8 @@ def test_onecycle_continuity():
 def test_onecycle_validation():
     with pytest.raises(ValueError):
         OneCycleSchedule(max_lr=0.0)
-    with pytest.raises(ValueError):
-        OneCycleSchedule(div_factor=1.0)
+    with pytest.raises(ValueError, match="total_steps"):
+        OneCycleSchedule(total_steps=0)
     with pytest.raises(ValueError):
         OneCycleSchedule(warmup_fraction=1.0)
     with pytest.raises(ValueError):
