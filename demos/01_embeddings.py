@@ -18,10 +18,12 @@ from pne import (
 
 rng = np.random.default_rng(0)
 
-# receptive field: a ball of radius r. Kernel points sit on an icosahedron
-# shell at 0.6 r plus one at the center; sigma defaults to the shell spacing.
+# receptive field of radius r: the ball radius, or twice the estimated
+# average kNN neighbor distance (NeighborhoodSpec.receptive_radius). Kernel
+# points sit on an icosahedron shell at 0.6 r plus one at the center; sigma
+# defaults to the shell spacing.
 radius = 0.5
-shell, sigma = default_kernel_layout("ball_query", radius)
+shell, sigma = default_kernel_layout(radius)
 points = icosahedron_kernel_points(shell)
 print(f"13 kernel points, shell {shell:.3f}, sigma {sigma:.3f}")
 

@@ -21,8 +21,8 @@ cfg = EncoderConfig(
     initial_cell=0.25,
     widths=[16, 32, 64],
     blocks_per_level=[1, 1, 1],
-    neighborhood=NeighborhoodSpec(kind="ball_query", scale=2.0),
-    embedding=EmbeddingSpec(kind="kp", correlation="gaussian"),
+    neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
+    embedding=EmbeddingSpec("kp:gaussian"),
     embed_dim=16,
 )
 model = SegmentationNetwork(cfg, num_classes=4, seed=0)

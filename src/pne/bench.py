@@ -16,10 +16,11 @@ import time
 
 import numpy as np
 
+from .config import NEIGHBORHOOD_NAMES
 from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
 from .embeddings import KernelPointEmbedding, default_kernel_layout, icosahedron_kernel_points
 from .errors import ConfigError
-from .geometry import ball_query, cell_average_subsample, farthest_distances, knn
+from .geometry import cell_average_subsample, farthest_distances
 from .network import (
     ClassificationNetwork,
     EmbeddingSpec,
@@ -39,18 +40,11 @@ def _wall(seconds):
 
 
 def embedding_spec_from_name(name, cfg):
-    if name == "none":
-        return EmbeddingSpec(kind="identity")
-    kind, variant = name.split(":", 1)
-    if kind == "kp":
-        return EmbeddingSpec(kind="kp", correlation=variant, sigma_factor=cfg.sigma_factor)
-    return EmbeddingSpec(kind="mlp", activation=variant, mlp_dim=cfg.mlp_dim)
+    return EmbeddingSpec(name, mlp_dim=cfg.mlp_dim, sigma_factor=cfg.sigma_factor)
 
 
 def neighborhood_spec_from_name(name, cfg):
-    if name == "ball_query":
-        return NeighborhoodSpec(kind="ball_query", scale=cfg.ball_scale)
-    return NeighborhoodSpec(kind="knn", k=cfg.knn_k)
+    return NeighborhoodSpec(name, k=cfg.knn_k, scale=cfg.ball_scale)
 
 
 def encoder_config(cfg, embedding_spec, neighborhood_spec):
@@ -234,7 +228,7 @@ def cmd_grid(cfg, out_dir):
 def triangular_zero_support_fraction(radius, sigma_factor, n_samples=20000, seed=0):
     """Fraction of receptive-field offsets whose Triangular embedding is
     all-zero (support smaller than the receptive field)."""
-    shell, sigma = default_kernel_layout("ball_query", radius, sigma_factor)
+    shell, sigma = default_kernel_layout(radius, sigma_factor)
     emb = KernelPointEmbedding(icosahedron_kernel_points(shell), sigma, "triangular")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 3))
@@ -275,19 +269,17 @@ def cmd_sigma_sweep(cfg, out_dir):
     return csv_path, rows
 
 
-def pyramid_neighbor_stats(clouds, initial_cell, num_levels, method, k=16, scale=2.0):
-    """Farthest-distance statistics per pyramid level, aggregated over all
-    clouds (per-query normalized distances pooled before the variance)."""
+def pyramid_neighbor_stats(clouds, initial_cell, num_levels, neighborhood):
+    """Farthest-distance statistics per pyramid level under the
+    `NeighborhoodSpec` `neighborhood`, aggregated over all clouds (per-query
+    normalized distances pooled before the variance)."""
     per_level = [[] for _ in range(num_levels)]
     for cloud in clouds:
         cur = cloud
         for lvl in range(num_levels):
             cell = initial_cell * 2.0**lvl
             cur = cell_average_subsample(cur, cell)
-            if method == "knn":
-                nl = knn(cur, cur, k)
-            else:
-                nl = ball_query(cur, cur, scale * cell)
+            nl = neighborhood.search(cur, cur, cell)
             per_level[lvl].append(farthest_distances(nl, cur, cur) / cell)
     stats = []
     for lvl, vals in enumerate(per_level):
@@ -312,11 +304,9 @@ def cmd_neighborhood_stats(cfg, out_dir, num_levels=5):
     }
     rows = []
     for name, clouds in datasets.items():
-        for method in ("knn", "ball_query"):
-            stats = pyramid_neighbor_stats(
-                clouds, cfg.initial_cell, num_levels, method,
-                k=cfg.knn_k, scale=cfg.ball_scale,
-            )
+        for method in NEIGHBORHOOD_NAMES:
+            stats = pyramid_neighbor_stats(clouds, cfg.initial_cell, num_levels,
+                                           neighborhood_spec_from_name(method, cfg))
             for lvl, mean, var in stats:
                 rows.append({"dataset": name, "method": method, "level": lvl,
                              "mean_norm_farthest": mean, "var_norm_farthest": var})

@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import bench
-from .config import ExperimentConfig, load_config, resolve_experiment
+from .config import (EMBEDDING_NAMES, NEIGHBORHOOD_NAMES, ExperimentConfig, load_config,
+                     resolve_experiment)
 from .datagen import SHAPE_KINDS
 from .errors import ConfigError, ParamFileError, ParseError
 from .gradcheck import format_report, gradient_check_report
@@ -115,8 +116,8 @@ def build_parser():
         "--config": dict(default=None, help="experiment config file"),
         "--out": dict(default="out", help="output directory"),
         "--seeds": dict(default=None, help="comma-separated seed list"),
-        "--embedding": dict(default=None),
-        "--neighborhood": dict(default=None),
+        "--embedding": dict(default=None, choices=EMBEDDING_NAMES),
+        "--neighborhood": dict(default=None, choices=NEIGHBORHOOD_NAMES),
         "--params": dict(required=True, help="model.bin path"),
     }
     run = ("--config", "--out", "--seeds")

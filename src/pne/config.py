@@ -13,7 +13,9 @@ path.
 import math
 from dataclasses import dataclass, field
 
+from .embeddings import CORRELATION_KINDS
 from .errors import ConfigError, ParseError
+from .numerics import ACTIVATION_KINDS
 
 
 def parse_config(text):
@@ -120,8 +122,8 @@ class _Required:
 
 _REQUIRED = _Required()
 
-EMBEDDING_NAMES = ("kp:box", "kp:triangular", "kp:gaussian",
-                   "mlp:relu", "mlp:gelu", "mlp:sin", "none")
+EMBEDDING_NAMES = (tuple(f"kp:{c}" for c in CORRELATION_KINDS)
+                   + tuple(f"mlp:{a}" for a in ACTIVATION_KINDS) + ("none",))
 NEIGHBORHOOD_NAMES = ("ball_query", "knn")
 
 

@@ -67,23 +67,17 @@ def icosahedron_shell_spacing(shell_radius):
     return float(d.min())
 
 
-def default_kernel_layout(neighborhood_kind, radius, sigma_factor=1.0):
-    """Shell radius and sigma for the icosahedral kernel-point layout.
+def default_kernel_layout(radius, sigma_factor=1.0):
+    """Shell radius and sigma for the icosahedral kernel-point layout of a
+    receptive field of radius `radius` (`NeighborhoodSpec.receptive_radius`).
 
-    Ball query places the shell at 0.6 * r; kNN at 1.2 * r' where r' is
-    the average neighbor distance. Sigma defaults to the shell-point
+    The shell sits at 0.6 * radius. Sigma defaults to the shell-point
     nearest-neighbor spacing, scaled by `sigma_factor`.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if neighborhood_kind == "ball_query":
-        shell_radius = 0.6 * radius
-    elif neighborhood_kind == "knn":
-        shell_radius = 1.2 * radius
-    else:
-        raise ValueError(f"unknown neighborhood kind: {neighborhood_kind!r}")
-    sigma = sigma_factor * icosahedron_shell_spacing(shell_radius)
-    return shell_radius, sigma
+    shell_radius = 0.6 * radius
+    return shell_radius, sigma_factor * icosahedron_shell_spacing(shell_radius)
 
 
 class Embedding:

@@ -5,12 +5,13 @@ Cell averaging ranks the integer cell coordinates with one `np.lexsort`
 (x major, then y, then z) and numbers the cells where a sorted row differs
 from the one before it.
 
-In both searches scipy's cKDTree proposes and an exact norm decides, and
-neither builds a Python object per query. kNN takes each query's k+1
-nearest points from the tree and selects again, from a wider candidate set,
-only the rows where a tie at the k-th distance may reach past them. Ball
-query takes every pair within a slightly widened radius from one sweep of
-a query tree against the support tree. A call builds the trees it needs,
+In both searches scipy's cKDTree proposes and an exact norm decides. kNN
+takes each query's k+1 nearest points from the tree and selects again, from
+a wider candidate set, only the rows where a tie at the k-th distance may
+reach past them; `_candidates` gets that set from `query_ball_point`, one
+Python list per such row. Ball query builds no Python object per query: it
+takes every pair within a slightly widened radius from one sweep of a query
+tree against the support tree. A call builds the trees it needs,
 unless its caller passes `_trees`, a dict that keeps each cloud's tree for
 the calls that follow: `Encoder.prepare` builds one tree per pyramid level
 that way, and drops them all when it returns.

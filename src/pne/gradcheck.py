@@ -59,7 +59,7 @@ def _batched_fd_jacobian(embed_fn, offsets, h=H):
 
 
 def _make_embeddings(seed):
-    shell, sigma = default_kernel_layout("ball_query", 1.0, 1.0)
+    shell, sigma = default_kernel_layout(1.0, 1.0)
     kps = icosahedron_kernel_points(shell)
     rng = np.random.default_rng(seed)
 
@@ -155,7 +155,7 @@ def check_conv_gradients(seed=2):
         site = make_site(query, support, nl)
         out, cache = _forward_site(layer, site, features)
         v = rng.standard_normal(out.shape)
-        g = _backward_site(layer, site, features, v, cache, with_offsets=True)
+        g = _backward_site(layer, site, v, cache, with_offsets=True)
 
         def loss_with(param, flat):
             saved = param.copy()
@@ -222,8 +222,8 @@ def _toy_config():
         initial_cell=0.3,
         widths=[4, 6],
         blocks_per_level=[1, 1],
-        neighborhood=NeighborhoodSpec(kind="ball_query", scale=2.0),
-        embedding=EmbeddingSpec(kind="kp", correlation="gaussian"),
+        neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
+        embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=4,
     )
 

@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
+from .config import EMBEDDING_NAMES, NEIGHBORHOOD_NAMES
 from .embeddings import (
     IdentityEmbedding,
     KernelPointEmbedding,
@@ -164,12 +165,12 @@ class ConvModule(Module):
     def forward(self, prep, features, training=False):
         site = prep.sites[self.site_name]
         out, cache = _forward_site(self.layer, site, features, keep=training)
-        self._cache = (site, features, cache) if training else None
+        self._cache = (site, cache) if training else None
         return out
 
     def backward(self, up):
-        site, features, cache = self._take_cache()
-        g = _backward_site(self.layer, site, features, up, cache)
+        site, cache = self._take_cache()
+        g = _backward_site(self.layer, site, up, cache)
         self.g_kernel += g.d_kernel
         self.g_projection += g.d_projection
         self.g_bias += g.d_bias
@@ -252,49 +253,67 @@ class MetaformerBlock(Module):
 
 @dataclass
 class EmbeddingSpec:
-    """Declarative description of the embedding used by every convolution."""
+    """The embedding of every convolution, by its config name: "kp:<correlation>",
+    "mlp:<activation>" or "none"."""
 
-    kind: str                      # "kp" | "mlp" | "identity"
-    correlation: str = "gaussian"  # kp only
-    activation: str = "gelu"       # mlp only
+    name: str
     mlp_dim: int = 16
     sigma_factor: float = 1.0
 
+    def __post_init__(self):
+        if self.name not in EMBEDDING_NAMES:
+            raise ValueError(f"unknown embedding {self.name!r}, expected {EMBEDDING_NAMES}")
+
     def label(self):
-        if self.kind == "identity":
-            return ("none", "")
-        if self.kind == "kp":
-            return ("kp", self.correlation)
-        return ("mlp", self.activation)
+        """(family, variant): ("kp", "box"), ("mlp", "gelu") or ("none", "")."""
+        family, _, variant = self.name.partition(":")
+        return family, variant
 
 
-def build_embedding(spec, neighborhood_kind, radius, seed):
-    """Instantiate an embedding for one convolution site.
-
-    `radius` is the ball-query radius r, or the average neighbor distance
-    r' for kNN sites."""
-    if spec.kind == "identity":
-        return IdentityEmbedding()
-    if spec.kind == "kp":
-        shell_radius, sigma = default_kernel_layout(neighborhood_kind, radius, spec.sigma_factor)
-        return KernelPointEmbedding(icosahedron_kernel_points(shell_radius), sigma, spec.correlation)
-    if spec.kind == "mlp":
-        # receptive-field scale: the ball radius, or twice the average
-        # neighbor distance for kNN
-        rho = radius if neighborhood_kind == "ball_query" else 2.0 * radius
-        return init_mlp_embedding(spec.mlp_dim, rho, spec.activation, seed)
-    raise ValueError(f"unknown embedding kind: {spec.kind!r}")
+def build_embedding(spec, radius, seed):
+    """Instantiate an embedding for one convolution site whose receptive
+    field has radius `radius` (`NeighborhoodSpec.receptive_radius`): the
+    kernel-point shell sits at 0.6 * radius and MLP weights are drawn in
+    [-1/radius, 1/radius]."""
+    family, variant = spec.label()
+    if family == "kp":
+        shell_radius, sigma = default_kernel_layout(radius, spec.sigma_factor)
+        return KernelPointEmbedding(icosahedron_kernel_points(shell_radius), sigma, variant)
+    if family == "mlp":
+        return init_mlp_embedding(spec.mlp_dim, radius, variant, seed)
+    return IdentityEmbedding()
 
 
-# estimated average kNN neighbor distance r', in cell sizes
+# estimated average kNN neighbor distance r', in cell sizes; a kNN site's
+# receptive radius is 2 r'
 KNN_AVG_FACTOR = 1.5
 
 
 @dataclass
 class NeighborhoodSpec:
-    kind: str            # "knn" | "ball_query"
+    """The neighbor search of every site, and the only code that tells a
+    ball query from kNN: ball query reads only `scale`, kNN only `k`."""
+
+    kind: str            # one of NEIGHBORHOOD_NAMES
     k: int = 16
     scale: float = 2.0   # ball radius = scale * cell size
+
+    def __post_init__(self):
+        if self.kind not in NEIGHBORHOOD_NAMES:
+            raise ValueError(f"unknown neighborhood {self.kind!r}, expected {NEIGHBORHOOD_NAMES}")
+
+    def search(self, query, support, cell, trees=None):
+        """Neighbors in `support` of each point of `query` at cell size `cell`."""
+        if self.kind == "ball_query":
+            return ball_query(query, support, self.scale * cell, _trees=trees)
+        return knn(query, support, self.k, _trees=trees)
+
+    def receptive_radius(self, cell):
+        """The radius the embeddings of a site at cell size `cell` are sized
+        for: the ball radius, or twice the estimated average kNN distance."""
+        if self.kind == "ball_query":
+            return self.scale * cell
+        return 2.0 * (KNN_AVG_FACTOR * cell)
 
 
 @dataclass
@@ -308,8 +327,12 @@ class EncoderConfig:
     drop_path_max: float = 0.0
 
     def __post_init__(self):
+        if not self.widths or min(self.widths) < 1:
+            raise ValueError(f"widths: need one level or more, each >= 1, got {self.widths}")
         if len(self.widths) != len(self.blocks_per_level):
             raise ValueError("widths and blocks_per_level must have equal length")
+        if min(self.blocks_per_level) < 0:
+            raise ValueError(f"blocks_per_level: counts must be >= 0, got {self.blocks_per_level}")
         if self.initial_cell <= 0:
             raise ValueError("initial_cell must be positive")
 
@@ -345,13 +368,10 @@ def default_input_features(cloud):
 
 def _conv_module(config, rng, level, d_in, d_out, site_name):
     """A point conv bound to `site_name`, its embedding sized for the
-    neighborhood of pyramid level `level`: the ball radius, or the estimated
-    average kNN neighbor distance. Draws the embedding seed, then the layer
-    seed, from `rng`."""
-    nb = config.neighborhood
-    factor = nb.scale if nb.kind == "ball_query" else KNN_AVG_FACTOR
-    emb = build_embedding(config.embedding, nb.kind, factor * config.level_cell(level),
-                          seed=rng.integers(2**31))
+    receptive radius of pyramid level `level`. Draws the embedding seed,
+    then the layer seed, from `rng`."""
+    radius = config.neighborhood.receptive_radius(config.level_cell(level))
+    emb = build_embedding(config.embedding, radius, seed=rng.integers(2**31))
     layer = init_conv_layer(emb, d_in, d_out, config.embed_dim, seed=rng.integers(2**31))
     return ConvModule(layer, site_name)
 
@@ -380,14 +400,6 @@ class Encoder(Module):
                 self.transitions.append(_conv_module(
                     config, rng, lvl + 1, width, config.widths[lvl + 1], f"down{lvl}"))
 
-    def _site(self, query, support, level, trees):
-        nb = self.config.neighborhood
-        if nb.kind == "ball_query":
-            nl = ball_query(query, support, nb.scale * self.config.level_cell(level), _trees=trees)
-        else:
-            nl = knn(query, support, nb.k, _trees=trees)
-        return make_site(query, support, nl)
-
     def prepare(self, cloud, for_decoder=False):
         """Build the pyramid and every neighbor site this network will use.
 
@@ -408,16 +420,21 @@ class Encoder(Module):
                 raise DegenerateInputError(f"pyramid level {lvl} is empty")
             clouds.append(cur)
         trees = {}
+
+        def site(query, support, lvl):
+            nl = cfg.neighborhood.search(query, support, cfg.level_cell(lvl), trees)
+            return make_site(query, support, nl)
+
         sites = {}
         for lvl in range(cfg.num_levels):
-            sites[f"self{lvl}"] = self._site(clouds[lvl], clouds[lvl], lvl, trees)
+            sites[f"self{lvl}"] = site(clouds[lvl], clouds[lvl], lvl)
             if lvl + 1 < cfg.num_levels:
-                sites[f"down{lvl}"] = self._site(clouds[lvl + 1], clouds[lvl], lvl + 1, trees)
+                sites[f"down{lvl}"] = site(clouds[lvl + 1], clouds[lvl], lvl + 1)
                 if for_decoder:
-                    sites[f"up{lvl}"] = self._site(clouds[lvl], clouds[lvl + 1], lvl + 1, trees)
+                    sites[f"up{lvl}"] = site(clouds[lvl], clouds[lvl + 1], lvl + 1)
             if for_decoder and lvl >= 1:
                 sites[f"direct{lvl}"] = (sites["up0"] if lvl == 1 else
-                                         self._site(clouds[0], clouds[lvl], lvl, trees))
+                                         site(clouds[0], clouds[lvl], lvl))
         return PreparedSample(
             clouds=clouds, initial_features=clouds[0].features, sites=sites
         )

@@ -163,17 +163,13 @@ def _effective_kernel(layer):
     return (layer.projection @ k).reshape(-1, o)               # (E_raw*I, O)
 
 
-def _check_features(layer, site, features):
+def _forward_site(layer, site, features, keep=True):
+    """(out, cache). The cache is what `_backward_site` reads; with
+    `keep=False` it is None and no embedding derivative is formed."""
     if features.shape != (site.num_support, layer.in_features):
         raise ShapeError(
             f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
         )
-
-
-def _forward_site(layer, site, features, keep=True):
-    """(out, cache). The cache is what `_backward_site` reads; with
-    `keep=False` it is None and no embedding derivative is formed."""
-    _check_features(layer, site, features)
     dact = None
     if keep and layer.embedding.params():
         e, dact = layer.embedding.embed(site.offsets, with_derivative=True)
@@ -194,11 +190,9 @@ def _forward_site(layer, site, features, keep=True):
     return out, (epad, fpad, dact, zq, w, k_eff)
 
 
-def _backward_site(layer, site, features, upstream, cache, with_offsets=False):
-    """Gradients from the cache of `_forward_site(layer, site, features)`.
-    `features` is checked as the forward checks it; backward reads its
-    padded copy from the cache."""
-    _check_features(layer, site, features)
+def _backward_site(layer, site, upstream, cache, with_offsets=False):
+    """Gradients from the cache of `_forward_site(layer, site, features)`,
+    which holds the padded features backward reads."""
     epad, fpad, dact, zq, w, k_eff = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
@@ -248,7 +242,7 @@ def conv_backward(layer, query, support, neighbors, features, upstream, with_off
     upstream = np.asarray(upstream, dtype=np.float64)
     site = make_site(query, support, neighbors)
     _, cache = _forward_site(layer, site, features)
-    return _backward_site(layer, site, features, upstream, cache, with_offsets=with_offsets)
+    return _backward_site(layer, site, upstream, cache, with_offsets=with_offsets)
 
 
 def _truncated_normal(rng, std, size, clip=2.0):

@@ -30,6 +30,7 @@ from pne.gradcheck import (
     check_network_gradients,
     gradient_check_report,
 )
+from pne.network import NeighborhoodSpec
 from pne.pointconv import ConvLayer, conv_forward, init_conv_layer
 from pne.training import clip_grad_norm, OneCycleSchedule, onecycle_lr
 
@@ -210,9 +211,8 @@ def test_criterion_6_receptive_field_variance():
     # of 5 levels still holds well over k points
     clouds = [sample_shape(kind, 8192, noise_sigma=0.01, seed=s)
               for s in range(4) for kind in ("sphere", "torus")]
-    knn_stats = pyramid_neighbor_stats(clouds, 0.05, 5, "knn", k=16, scale=2.0)
-    bq_stats = pyramid_neighbor_stats(clouds, 0.05, 5, "ball_query", k=16,
-                                      scale=2.0)
+    knn_stats = pyramid_neighbor_stats(clouds, 0.05, 5, NeighborhoodSpec("knn", k=16))
+    bq_stats = pyramid_neighbor_stats(clouds, 0.05, 5, NeighborhoodSpec("ball_query", scale=2.0))
     knn_var = [v for _, _, v in knn_stats]
     bq_var = [v for _, _, v in bq_stats]
     below = all(b < k for b, k in zip(bq_var, knn_var))

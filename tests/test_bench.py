@@ -286,3 +286,11 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
         cli.main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--embedding", "kp:boxx"), ("--neighborhood", "ball")])
+def test_cli_rejects_unknown_model_names(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", flag, value])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

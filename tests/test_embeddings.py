@@ -40,15 +40,14 @@ def test_icosahedron_bad_radius():
 
 
 def test_default_kernel_layout():
-    shell, sigma = default_kernel_layout("ball_query", 1.0)
+    shell, sigma = default_kernel_layout(1.0)
     assert shell == pytest.approx(0.6)
     assert sigma == pytest.approx(icosahedron_shell_spacing(0.6))
-    shell, _ = default_kernel_layout("knn", 0.5)
-    assert shell == pytest.approx(0.6)  # 1.2 * r'
+    shell, sigma = default_kernel_layout(0.5, sigma_factor=2.0)
+    assert shell == pytest.approx(0.3)
+    assert sigma == pytest.approx(2.0 * icosahedron_shell_spacing(0.3))
     with pytest.raises(ValueError):
-        default_kernel_layout("ball_query", 0.0)
-    with pytest.raises(ValueError):
-        default_kernel_layout("cube", 1.0)
+        default_kernel_layout(0.0)
 
 
 def _kp(correlation, sigma=1.0, radius=1.0):

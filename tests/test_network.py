@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from pne import geometry, numerics
+from pne.embeddings import icosahedron_kernel_points, icosahedron_shell_spacing
 from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
 from pne.geometry import PointCloud, ball_query, cell_average_subsample, knn
 from pne.network import (
@@ -29,8 +30,8 @@ def make_config(**overrides):
         initial_cell=0.3,
         widths=[4, 6],
         blocks_per_level=[1, 1],
-        neighborhood=NeighborhoodSpec(kind="ball_query", scale=2.0),
-        embedding=EmbeddingSpec(kind="kp", correlation="gaussian"),
+        neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
+        embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=4,
     )
     base.update(overrides)
@@ -167,7 +168,7 @@ def test_prepare_builds_one_tree_per_level(monkeypatch, kind, network):
     monkeypatch.setattr(geometry, "cKDTree", CountedTree)
     monkeypatch.setattr(CountedTree, "built", 0)
     cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
-                      neighborhood=NeighborhoodSpec(kind=kind, k=5, scale=2.0))
+                      neighborhood=NeighborhoodSpec(kind, k=5, scale=2.0))
     net = network(cfg, num_classes=3, seed=0)
     prep = net.prepare(random_cloud(300, seed=8))
     assert CountedTree.built == 3
@@ -293,7 +294,7 @@ NETWORKS = [
 
 def tree_config():
     return make_config(widths=[4, 6, 8], blocks_per_level=[2, 1, 2],
-                       embedding=EmbeddingSpec(kind="mlp", activation="gelu", mlp_dim=4))
+                       embedding=EmbeddingSpec("mlp:gelu", mlp_dim=4))
 
 
 def test_params_and_grads_aligned():
@@ -455,21 +456,95 @@ def test_config_validation():
         MetaformerBlock(None, 4, np.random.default_rng(0), drop_path_rate=1.0)
 
 
+@pytest.mark.parametrize("widths, blocks, field", [
+    ([], [], "widths"),
+    ([0, 4], [1, 1], "widths"),
+    ([4, 6], [-1, 1], "blocks_per_level"),
+])
+def test_config_rejects_degenerate_pyramid(widths, blocks, field):
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        make_config(widths=widths, blocks_per_level=blocks)
+
+
+@pytest.mark.parametrize("spec, name", [
+    (NeighborhoodSpec, "ball"),
+    (NeighborhoodSpec, "cube"),
+    (EmbeddingSpec, "kp:boxx"),
+    (EmbeddingSpec, "identity"),
+    (EmbeddingSpec, "kp"),
+])
+def test_specs_reject_unknown_names(spec, name):
+    with pytest.raises(ValueError, match=f"unknown .*{name!r}"):
+        spec(name)
+
+
+def test_embedding_spec_label():
+    assert EmbeddingSpec("kp:box").label() == ("kp", "box")
+    assert EmbeddingSpec("mlp:sin").label() == ("mlp", "sin")
+    assert EmbeddingSpec("none").label() == ("none", "")
+
+
+def test_search_reads_only_its_own_parameter():
+    """kNN ignores `scale` and ball query ignores `k`, in the search and in
+    the receptive radius."""
+    cloud = random_cloud(80, seed=25)
+    for scale in (0.5, 9.0):
+        spec = NeighborhoodSpec("knn", k=4, scale=scale)
+        assert np.array_equal(spec.search(cloud, cloud, 0.3).indices, knn(cloud, cloud, 4).indices)
+        assert spec.receptive_radius(0.3) == 2.0 * (1.5 * 0.3)
+    for k in (1, 50):
+        spec = NeighborhoodSpec("ball_query", k=k, scale=2.0)
+        got, want = spec.search(cloud, cloud, 0.3), ball_query(cloud, cloud, 2.0 * 0.3)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.indices, want.indices)
+        assert spec.receptive_radius(0.3) == 2.0 * 0.3
+
+
+def modules(module):
+    yield module
+    for _, child in module.children():
+        yield from modules(child)
+
+
+@pytest.mark.parametrize("neighborhood, shell_at", [
+    (NeighborhoodSpec("knn", k=5), lambda cell: 1.2 * (1.5 * cell)),
+    (NeighborhoodSpec("ball_query", scale=2.5), lambda cell: 0.6 * (2.5 * cell)),
+], ids=["knn", "ball_query"])
+def test_kernel_layout_per_conv(neighborhood, shell_at):
+    """Each conv's kernel points and sigma, bit for bit: the shell sits at
+    1.2 r' for kNN, with r' = 1.5 cells the estimated average neighbor
+    distance, and at 0.6 r for ball query, with r = scale cells, where the
+    cell is that of the level that sets the site's radius."""
+    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
+                      neighborhood=neighborhood,
+                      embedding=EmbeddingSpec("kp:triangular", sigma_factor=0.7))
+    net = SegmentationNetwork(cfg, num_classes=3, seed=0)
+    convs = [m for m in modules(net) if isinstance(m, ConvModule)]
+    assert sorted(c.site_name for c in convs) == [
+        "direct1", "direct2", "down0", "down1", "self0", "self1", "self2", "up0", "up1"]
+    for conv in convs:
+        kind, lvl = conv.site_name[:-1], int(conv.site_name[-1])
+        shell = shell_at(cfg.level_cell(lvl + 1 if kind in ("down", "up") else lvl))
+        emb = conv.layer.embedding
+        assert np.array_equal(emb.kernel_points, icosahedron_kernel_points(shell))
+        assert emb.sigma == 0.7 * icosahedron_shell_spacing(shell)
+
+
 def test_knn_neighborhood_variant():
     cloud = random_cloud(60, seed=21)
-    cfg = make_config(neighborhood=NeighborhoodSpec(kind="knn", k=4))
+    cfg = make_config(neighborhood=NeighborhoodSpec("knn", k=4))
     net = ClassificationNetwork(cfg, num_classes=3, seed=22)
     logits = net.forward(net.prepare(cloud), training=False)
     assert logits.shape == (1, 3)
 
 
 @pytest.mark.parametrize("spec", [
-    EmbeddingSpec(kind="kp", correlation="box"),
-    EmbeddingSpec(kind="kp", correlation="triangular"),
-    EmbeddingSpec(kind="kp", correlation="gaussian", sigma_factor=0.5),
-    EmbeddingSpec(kind="mlp", activation="relu", mlp_dim=5),
-    EmbeddingSpec(kind="mlp", activation="sin", mlp_dim=5),
-    EmbeddingSpec(kind="identity"),
+    EmbeddingSpec("kp:box"),
+    EmbeddingSpec("kp:triangular"),
+    EmbeddingSpec("kp:gaussian", sigma_factor=0.5),
+    EmbeddingSpec("mlp:relu", mlp_dim=5),
+    EmbeddingSpec("mlp:sin", mlp_dim=5),
+    EmbeddingSpec("none"),
 ])
 def test_all_embedding_specs_run(spec):
     cloud = random_cloud(50, seed=23)

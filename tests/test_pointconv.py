@@ -268,13 +268,13 @@ def dense_conv_all(layer, nl, offsets, features, formula):
 
 
 DENSE_SPECS = {
-    "kp_box": EmbeddingSpec(kind="kp", correlation="box"),
-    "kp_triangular": EmbeddingSpec(kind="kp", correlation="triangular"),
-    "kp_gaussian": EmbeddingSpec(kind="kp", correlation="gaussian"),
-    "mlp_relu": EmbeddingSpec(kind="mlp", activation="relu"),
-    "mlp_gelu": EmbeddingSpec(kind="mlp", activation="gelu"),
-    "mlp_sin": EmbeddingSpec(kind="mlp", activation="sin"),
-    "identity": EmbeddingSpec(kind="identity"),
+    "kp_box": EmbeddingSpec("kp:box"),
+    "kp_triangular": EmbeddingSpec("kp:triangular"),
+    "kp_gaussian": EmbeddingSpec("kp:gaussian"),
+    "mlp_relu": EmbeddingSpec("mlp:relu"),
+    "mlp_gelu": EmbeddingSpec("mlp:gelu"),
+    "mlp_sin": EmbeddingSpec("mlp:sin"),
+    "identity": EmbeddingSpec("none"),
 }
 # 27 kernel points on the 3 x 3 x 3 lattice of cell centers over [-0.6, 0.6]^3
 LATTICE3 = np.array(list(itertools.product((-0.4, 0.0, 0.4), repeat=3)))
@@ -283,7 +283,7 @@ LATTICE3 = np.array(list(itertools.product((-0.4, 0.0, 0.4), repeat=3)))
 def dense_embedding(name):
     if name == "kp_gaussian_grid3":
         return KernelPointEmbedding(LATTICE3, 0.4, "gaussian")
-    return build_embedding(DENSE_SPECS[name], "ball_query", 1.0, seed=3)
+    return build_embedding(DENSE_SPECS[name], 1.0, seed=3)
 
 
 @pytest.mark.parametrize("formula", ["sum", "mean"])
@@ -316,7 +316,7 @@ def test_conv_matches_dense_formula(name, formula):
         1e-12 * np.abs(want).max())
 
     v = rng.standard_normal(out.shape)
-    g = _backward_site(layer, site, features, v * scale, cache, with_offsets=True)
+    g = _backward_site(layer, site, v * scale, cache, with_offsets=True)
     assert set(g.d_embedding_params) == set(emb.params())
 
     def loss(offsets=site.offsets, f=features):
@@ -363,7 +363,7 @@ def test_unreferenced_support_gets_zero_feature_gradient(name):
     assert site.table.size > len(nl.indices)                   # padded slots exist
     out, cache = _forward_site(layer, site, features)
     up = np.random.default_rng(17).standard_normal(out.shape)
-    g = _backward_site(layer, site, features, up, cache, with_offsets=True)
+    g = _backward_site(layer, site, up, cache, with_offsets=True)
     assert np.all(g.d_features[-1] == 0.0)
     assert np.any(g.d_features[:-1] != 0.0)
 
@@ -373,8 +373,7 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
     """A kept forward hands `gradient_params` the activation derivative it
     formed with e; the embedding gradients equal those recomputed from the
     offsets bit for bit. An inference forward forms no derivative."""
-    emb = build_embedding(EmbeddingSpec(kind="mlp", activation=act, mlp_dim=5),
-                          "ball_query", 1.0, seed=3)
+    emb = build_embedding(EmbeddingSpec(f"mlp:{act}", mlp_dim=5), 1.0, seed=3)
     layer, query, support, nl, features = random_instance(18, emb=emb)
     site = make_site(query, support, nl)
     embed_kwargs = []
@@ -400,7 +399,7 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
 
     monkeypatch.setattr(emb, "gradient_params", spy)
     up = np.random.default_rng(19).standard_normal(out.shape)
-    g = _backward_site(layer, site, features, up, cache)
+    g = _backward_site(layer, site, up, cache)
     ((d_e, derivative),) = seen
     assert derivative is not None
     fresh = original(site.offsets, d_e, numerics.activation_derivative(act, emb._pre(site.offsets)))
@@ -420,7 +419,7 @@ def test_from_pairs_built_once_on_first_backward():
     _, cache = _forward_site(layer, site, features)
     assert "from_pairs" not in vars(site)
     up = np.random.default_rng(21).standard_normal(out.shape)
-    first = _backward_site(layer, site, features, up, cache)
+    first = _backward_site(layer, site, up, cache)
     op = vars(site)["from_pairs"]
     assert sparse.issparse(op)
     t = len(nl.indices)
@@ -428,6 +427,6 @@ def test_from_pairs_built_once_on_first_backward():
     want[nl.indices, np.arange(t)] = 1.0
     assert np.array_equal(op.toarray(), want)
     _, cache = _forward_site(layer, site, features)
-    again = _backward_site(layer, site, features, up, cache)
+    again = _backward_site(layer, site, up, cache)
     assert site.from_pairs is op
     assert again.d_features.tobytes() == first.d_features.tobytes()

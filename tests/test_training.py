@@ -183,8 +183,8 @@ def _toy_setup(n_samples=10, seed=0):
 
     cfg = EncoderConfig(
         initial_cell=0.3, widths=[8, 8], blocks_per_level=[1, 1],
-        neighborhood=NeighborhoodSpec(kind="ball_query", scale=2.0),
-        embedding=EmbeddingSpec(kind="kp", correlation="gaussian"),
+        neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
+        embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=8,
     )
     train, test = make_classification_dataset(
