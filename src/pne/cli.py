@@ -31,8 +31,19 @@ def _config(args):
 def _load_experiment(args):
     cfg = _config(args)
     if args.seeds is not None:
-        cfg.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        cfg.seeds = args.seeds
     return cfg
+
+
+def _seed_list(text):
+    """--seeds: comma-separated integers, at least one, as experiment.seeds."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("need at least one seed")
+    return seeds
 
 
 def cmd_grid(args):
@@ -115,7 +126,7 @@ def build_parser():
     flags = {
         "--config": dict(default=None, help="experiment config file"),
         "--out": dict(default="out", help="output directory"),
-        "--seeds": dict(default=None, help="comma-separated seed list"),
+        "--seeds": dict(default=None, type=_seed_list, help="comma-separated seed list"),
         "--embedding": dict(default=None, choices=EMBEDDING_NAMES),
         "--neighborhood": dict(default=None, choices=NEIGHBORHOOD_NAMES),
         "--params": dict(required=True, help="model.bin path"),

@@ -130,8 +130,13 @@ class KernelPointEmbedding(Embedding):
 
     def _sq_dists(self, offsets):
         """(N, K) squared distances summed in x, y, z order, as np.linalg.norm
-        sums them, so sqrt(d2) equals the norm of the difference bit for bit."""
-        return sum(np.square(diff, out=diff) for diff in self._axis_diffs(offsets))
+        sums them, so sqrt(d2) equals the norm of the difference bit for bit.
+        The y and z squares are added into the x one in place."""
+        squares = (np.square(diff, out=diff) for diff in self._axis_diffs(offsets))
+        d2 = next(squares)
+        for sq in squares:
+            d2 += sq
+        return d2
 
     def embed(self, offsets):
         offsets = _check_offsets(offsets)
@@ -139,9 +144,16 @@ class KernelPointEmbedding(Embedding):
         if self.correlation == BOX:
             # one-hot on the nearest kernel point; argmin ties -> smallest j
             return np.eye(self.raw_dim)[d2.argmin(axis=1)]
+        # in place, in the operation order of max(1 - sqrt(d2) / sigma, 0)
+        # and exp(-d2 / (2 sigma^2))
         if self.correlation == TRIANGULAR:
-            return np.maximum(1.0 - np.sqrt(d2) / self.sigma, 0.0)
-        return np.exp(-d2 / (2.0 * self.sigma**2))
+            np.sqrt(d2, out=d2)
+            d2 /= self.sigma
+            np.subtract(1.0, d2, out=d2)
+            return np.maximum(d2, 0.0, out=d2)
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * self.sigma**2
+        return np.exp(d2, out=d2)
 
     def jacobian_offsets(self, offsets):
         offsets = _check_offsets(offsets)

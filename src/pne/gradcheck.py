@@ -7,6 +7,7 @@ relative error and whether it passed its tolerance. Non-differentiable loci
 convention; Box offset gradients are asserted exactly zero instead.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,19 +138,25 @@ def check_embedding_params(n_probes=200, seed=1):
     return rows
 
 
-def _conv_instance(seed):
+def _conv_instance(seed, num_support=12, num_query=6):
     """Small cross-cloud geometry shared by the conv checks."""
     rng = np.random.default_rng(seed)
-    support = PointCloud(rng.uniform(-1.0, 1.0, size=(12, 3)))
-    query = PointCloud(rng.uniform(-1.0, 1.0, size=(6, 3)))
+    support = PointCloud(rng.uniform(-1.0, 1.0, size=(num_support, 3)))
+    query = PointCloud(rng.uniform(-1.0, 1.0, size=(num_query, 3)))
     nl = ball_query(query, support, 1.2)
     return query, support, nl, rng
 
 
+# (row prefix, support size, query size): the conv sums its pairs from the
+# query side on the first instance and from the support side on the second
+CONV_INSTANCES = (("conv", 12, 6), ("conv_support", 6, 12))
+
+
 def check_conv_gradients(seed=2):
     rows = []
-    for name, emb in _make_embeddings(seed).items():
-        query, support, nl, rng = _conv_instance(seed + 3)
+    for (prefix, num_support, num_query), (name, emb) in itertools.product(
+            CONV_INSTANCES, _make_embeddings(seed).items()):
+        query, support, nl, rng = _conv_instance(seed + 3, num_support, num_query)
         layer = init_conv_layer(emb, 3, 2, embed_dim=4, seed=seed + 5)
         features = rng.standard_normal((len(support), 3))
         site = make_site(query, support, nl)
@@ -174,7 +181,7 @@ def check_conv_gradients(seed=2):
                 lambda flat, p=param: loss_with(p, flat), param.ravel(), h=H
             ).reshape(param.shape)
             err = _rel_error(analytic, fd)
-            rows.append(CheckRow(f"conv[{name}].{pname}", param.size, err,
+            rows.append(CheckRow(f"{prefix}[{name}].{pname}", param.size, err,
                                  TOL_LOCAL, err < TOL_LOCAL))
 
         def feat_loss(flat):
@@ -183,12 +190,12 @@ def check_conv_gradients(seed=2):
 
         fd = numerics.finite_diff_jacobian(feat_loss, features.ravel(), h=H)
         err = _rel_error(g.d_features, fd.reshape(features.shape))
-        rows.append(CheckRow(f"conv[{name}].features", features.size, err,
+        rows.append(CheckRow(f"{prefix}[{name}].features", features.size, err,
                              TOL_LOCAL, err < TOL_LOCAL))
 
         if name == "box":
             err = float(np.abs(g.d_offsets).max())
-            rows.append(CheckRow(f"conv[{name}].offsets_zero", site.offsets.size, err,
+            rows.append(CheckRow(f"{prefix}[{name}].offsets_zero", site.offsets.size, err,
                                  0.0, err == 0.0))
         else:
             def off_loss(flat):
@@ -199,7 +206,7 @@ def check_conv_gradients(seed=2):
             fd = numerics.finite_diff_jacobian(off_loss, site.offsets.ravel(), h=H)
             mask = _kink_mask(layer.embedding, site.offsets)
             err = _rel_error(g.d_offsets[mask], fd.reshape(site.offsets.shape)[mask])
-            rows.append(CheckRow(f"conv[{name}].offsets", int(mask.sum()), err,
+            rows.append(CheckRow(f"{prefix}[{name}].offsets", int(mask.sum()), err,
                                  TOL_LOCAL, err < TOL_LOCAL))
     return rows
 

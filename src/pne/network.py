@@ -152,7 +152,12 @@ class LayerNorm(Module):
 
 
 class ConvModule(Module):
-    """A ConvLayer bound to a named geometry site of the prepared sample."""
+    """A ConvLayer bound to a named geometry site of the prepared sample.
+    `memo`, which an owner sets for the span of its own forward, is the
+    dict through which convs sharing a site and an embedding object embed
+    the site's pairs once."""
+
+    memo = None
 
     def __init__(self, layer, site_name):
         self.layer = layer
@@ -164,7 +169,7 @@ class ConvModule(Module):
 
     def forward(self, prep, features, training=False):
         site = prep.sites[self.site_name]
-        out, cache = _forward_site(self.layer, site, features, keep=training)
+        out, cache = _forward_site(self.layer, site, features, keep=training, memo=self.memo)
         self._cache = (site, cache) if training else None
         return out
 
@@ -535,17 +540,31 @@ class Decoder(Module):
             for lvl in range(1, num)
         ]
         self.final = Linear.init(final_width, num_classes, rng)
+        # up0 and direct1 convolve the same site with embeddings sized for
+        # level 1; a fixed embedding is then the same function in both, so
+        # they hold one embedding object and embed the site once per forward
+        self._sharing = ()
+        if num > 1 and not self.upconvs[0].layer.embedding.params():
+            self.directs[0].layer.embedding = self.upconvs[0].layer.embedding
+            self._sharing = (self.upconvs[0], self.directs[0])
 
     def forward(self, prep, enc_feats, training=False):
         num = self.config.num_levels
         ys = [None] * num
         ys[num - 1] = self.skips[num - 1].forward(enc_feats[num - 1], training=training)
-        for lvl in range(num - 2, -1, -1):
-            up = _conv_forward(self.upconvs[lvl], prep, ys[lvl + 1], training)
-            ys[lvl] = up + self.skips[lvl].forward(enc_feats[lvl], training=training)
-        z = self.direct0.forward(ys[0], training=training)
-        for lvl in range(1, num):
-            z = z + _conv_forward(self.directs[lvl - 1], prep, ys[lvl], training)
+        memo = {}
+        for conv in self._sharing:
+            conv.memo = memo
+        try:
+            for lvl in range(num - 2, -1, -1):
+                up = _conv_forward(self.upconvs[lvl], prep, ys[lvl + 1], training)
+                ys[lvl] = up + self.skips[lvl].forward(enc_feats[lvl], training=training)
+            z = self.direct0.forward(ys[0], training=training)
+            for lvl in range(1, num):
+                z = z + _conv_forward(self.directs[lvl - 1], prep, ys[lvl], training)
+        finally:
+            for conv in self._sharing:
+                conv.memo = None
         return self.final.forward(z, training=training)
 
     def backward(self, d_logits):

@@ -9,34 +9,63 @@ embedding's native dimension E_raw to a common dimension E_c (equalizing
 parameter counts across embedding kinds) and kappa is the learnable kernel
 tensor (I x O x E_c). Queries with empty neighborhoods output the bias.
 
-Evaluation order. `make_site` lays the T stored pairs out once per site in
-a padded (M, Kmax) table of support indices, Kmax the largest neighbor count.
-Row m lists the neighbors of query m and its empty slots hold N, the index of
-a zero shadow row appended to the features; `slot` is each pair's flat
-position in that table. Then
+Evaluation order. The sum over pairs is taken from whichever side of the
+site has fewer points, decided from the site's shape alone: from the support
+side when the support cloud is the smaller one (num_support < M, the
+decoder's `up{l}` and `direct{l}` sites), else from the query side (self and
+down sites). Both use K_eff = P @ kappa^T, (E_raw * I, O), one matrix
+product, and neither forms a per-pair (T, I * E) tensor.
+
+Query side. The T stored pairs are laid out in a padded (M, Kmax) table of
+support indices, Kmax the largest neighbor count. Row m lists the neighbors
+of query m and its empty slots hold N, the index of a zero shadow row
+appended to the features; `slot` is each pair's flat position in that
+table. Then
 
     epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
     fpad  = [f; 0][table]              (M, Kmax, I)
     zq    = epad^T @ fpad              (M, E_raw, I), one batched matmul, as (M, E_raw * I)
-    K_eff = P @ kappa^T                (E_raw * I, O), one matrix product
     out   = norm * (zq @ K_eff) + bias
 
-so no per-pair (T, I * E) tensor is formed. Backward runs the same chain:
-d_K_eff = zq^T @ (norm * upstream) splits into d_kernel and d_projection
-through P and kappa, dz = (norm * upstream) @ K_eff^T, and d_features sums
-(epad @ dz) at the pair slots onto the support points with one sparse product
-of T nonzeros, `ConvSite.from_pairs`. The per-pair embedding gradient
-d_e = (fpad @ dz^T) at the pair slots is formed only when the embedding has
-learnable parameters or offset gradients are requested.
+Backward runs the same chain: d_K_eff = zq^T @ (norm * upstream),
+dz = (norm * upstream) @ K_eff^T, and d_features sums (epad @ dz) at the pair
+slots onto the support points with one sparse product of T nonzeros,
+`ConvSite.from_pairs`.
+
+Support side. Every support point is projected through the kernel first,
+and one sparse operator sums the pairs:
+
+    K_t   = K_eff as (I, E_raw * O)
+    H     = f @ K_t                    (N, E_raw * O), as (N * E_raw, O)
+    S     = e at (q_t, y_t * E_raw + r) (M, N * E_raw) CSR, T * E_raw nonzeros
+    out   = norm * (S @ H) + bias
+
+Its work is N * I * E_raw * O for H and T * E_raw * O for S @ H, where the
+query side does M * Kmax * E_raw * I for zq and M * E_raw * I * O for the
+product; no padded table is built. Backward: dH = S^T @ (norm * upstream),
+d_features = dH @ K_t^T and d_K_eff from f^T @ dH.
+
+On either side d_K_eff splits into d_kernel and d_projection through P and
+kappa, and the per-pair embedding gradient d_e (T, E_raw) is formed only
+when the embedding has learnable parameters or offset gradients are
+requested: (fpad @ dz^T) at the pair slots on the query side. On the
+support side d_e[t, r] = H[y_t, r] . (norm * upstream)[q_t] is one batched
+matmul over the support points, on the (N, Ks) table that lists the queries
+of each support point's pairs (`support_table`, `support_slot`), so no
+(T, E_raw, O) gather of H is formed.
 
 What backward reuses. A forward that keeps its cache (`keep=True`) returns
-epad, fpad, zq, the norm weights, K_eff and, for an embedding with learnable
-parameters, the activation derivative act'(pre) that `embed` formed with e,
-which `gradient_params` takes instead of forming pre again. An inference
-forward (`keep=False`) keeps none of them and forms no derivative.
-`from_pairs` depends only on the site: it is built on the first backward
-through a site and stays with the site, so neither `make_site` nor an
-inference forward pays for it.
+the embedded pairs (epad or S), the norm weights, what its side's backward
+reads (fpad, zq and K_eff, or f, H and K_t) and, for an embedding with
+learnable parameters, the activation derivative act'(pre) that `embed`
+formed with e, which `gradient_params` takes instead of forming pre again.
+An inference forward (`keep=False`) keeps none of them and forms no
+derivative. The padded tables and `from_pairs` depend only on the site:
+each is built the first time a forward or backward needs it and stays with
+the site, so `make_site` pays for none of them and a site builds only the
+ones its side reads. Convs that share a site and an embedding object (the
+decoder's `up0` and `direct1` under a fixed embedding) embed the site once
+per forward, through a memo their owner hands them for that forward only.
 """
 
 from dataclasses import dataclass
@@ -54,44 +83,69 @@ MEAN = "mean"
 @dataclass
 class ConvSite:
     """Geometry binding of a convolution: the neighbor structure between a
-    query and a support cloud, with precomputed relative offsets and the
-    padded per-query neighbor table."""
+    query and a support cloud, with precomputed relative offsets. The padded
+    tables of each query's and each support point's pairs are built on first
+    use."""
 
     neighbors: object
     offsets: np.ndarray          # (T, 3) support - query per stored pair
     counts: np.ndarray           # (M,)
     num_support: int
-    table: np.ndarray            # (M, Kmax) support index per slot; num_support if empty
-    slot: np.ndarray             # (T,) flat position of each pair in table
+
+    @cached_property
+    def slot(self):
+        """(T,) flat position of each pair in `table`."""
+        qid = self.neighbors.query_ids()
+        kmax = self.counts.max(initial=0)
+        return np.arange(len(qid)) + (qid * kmax - self.neighbors.offsets[qid])
+
+    @cached_property
+    def table(self):
+        """(M, Kmax) support index per slot; num_support if empty."""
+        m, kmax = len(self.counts), self.counts.max(initial=0)
+        table = np.full(m * kmax, self.num_support, dtype=np.int64)
+        table[self.slot] = self.neighbors.indices
+        return table.reshape(m, kmax)
+
+    @cached_property
+    def support_slot(self):
+        """(T,) flat position of each pair in `support_table`."""
+        y = self.neighbors.indices
+        counts = np.bincount(y, minlength=self.num_support)
+        rank = np.empty(len(y), dtype=np.int64)
+        rank[np.argsort(y, kind="stable")] = np.arange(len(y))
+        return rank + (y * counts.max(initial=0) - (np.cumsum(counts) - counts)[y])
+
+    @cached_property
+    def support_table(self):
+        """(N, Ks) query index per slot, Ks the most pairs on one support
+        point; M if empty. Row n lists, in pair order, the queries of the
+        pairs on support point n."""
+        kmax = np.bincount(self.neighbors.indices, minlength=self.num_support).max(initial=0)
+        table = np.full(self.num_support * kmax, len(self.counts), dtype=np.int64)
+        table[self.support_slot] = self.neighbors.query_ids()
+        return table.reshape(self.num_support, kmax)
 
     @cached_property
     def from_pairs(self):
         """(num_support, T) operator that sums per-pair rows onto their
         support points: column t holds a single 1, in the row of pair t's
         support."""
-        t = len(self.slot)
+        t = len(self.neighbors.indices)
         return sparse.csc_matrix((np.ones(t), self.neighbors.indices, np.arange(t + 1)),
                                  shape=(self.num_support, t))
 
 
 def make_site(query, support, neighbors):
     """Build a ConvSite from a neighbor list between `query` and `support`."""
-    qid = neighbors.query_ids()
     # np.take gathers rows several times faster than fancy indexing
     offsets = (np.take(support.positions, neighbors.indices, axis=0)
-               - np.take(query.positions, qid, axis=0))
-    counts = neighbors.counts
-    kmax = counts.max(initial=0)
-    slot = np.arange(len(qid)) + (qid * kmax - neighbors.offsets[qid])
-    table = np.full(len(counts) * kmax, len(support), dtype=np.int64)
-    table[slot] = neighbors.indices
+               - np.take(query.positions, neighbors.query_ids(), axis=0))
     return ConvSite(
         neighbors=neighbors,
         offsets=offsets,
-        counts=counts,
+        counts=neighbors.counts,
         num_support=len(support),
-        table=table.reshape(len(counts), kmax),
-        slot=slot,
     )
 
 
@@ -145,15 +199,15 @@ def _norm_weights(counts):
     return 1.0 / np.maximum(counts, 1)
 
 
-def _padded_features(site, features):
-    """fpad[m, j] = f[table[m, j]], zero in empty slots (the shadow row)."""
-    shadow = np.zeros((1, features.shape[1]))
-    return np.take(np.concatenate((features, shadow)), site.table, axis=0)  # (M, Kmax, I)
+def _at_pairs(padded, slot):
+    """The (T, X) rows of an (R, K, X) padded array at the pair slots."""
+    return np.take(padded.reshape(-1, padded.shape[2]), slot, axis=0)
 
 
-def _at_pairs(site, padded):
-    """The (T, X) rows of an (M, Kmax, X) padded array at the pair slots."""
-    return np.take(padded.reshape(-1, padded.shape[2]), site.slot, axis=0)
+def _support_side(site):
+    """True when the sum over pairs is taken from the support side: the
+    support cloud has fewer points than the query cloud."""
+    return site.num_support < len(site.counts)
 
 
 def _effective_kernel(layer):
@@ -163,55 +217,126 @@ def _effective_kernel(layer):
     return (layer.projection @ k).reshape(-1, o)               # (E_raw*I, O)
 
 
-def _forward_site(layer, site, features, keep=True):
-    """(out, cache). The cache is what `_backward_site` reads; with
-    `keep=False` it is None and no embedding derivative is formed."""
-    if features.shape != (site.num_support, layer.in_features):
-        raise ShapeError(
-            f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
-        )
+def _embedded_pairs(layer, site, keep):
+    """(pairs, dact): the site's embedding values laid out for its side's
+    contraction, S or epad, and act'(pre) when a kept forward needs it."""
     dact = None
     if keep and layer.embedding.params():
         e, dact = layer.embedding.embed(site.offsets, with_derivative=True)
     else:
         e = layer.embedding.embed(site.offsets)                # (T, E_raw)
-    m, kmax = site.table.shape
-    r, i = e.shape[1], layer.in_features
-    epad = np.zeros((m * kmax, r))
-    epad[site.slot] = e
-    epad = epad.reshape(m, kmax, r)
-    fpad = _padded_features(site, features)
-    zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)
+    m, r = len(site.counts), e.shape[1]
+    if _support_side(site):
+        # scipy keeps int32 indices as given; int64 ones it scans and copies
+        fits = max(site.num_support, len(site.offsets)) * r < 2**31
+        itype = np.int32 if fits else np.int64
+        cols = (site.neighbors.indices.astype(itype)[:, None] * r
+                + np.arange(r, dtype=itype)).ravel()
+        pairs = sparse.csr_matrix((e.ravel(), cols, site.neighbors.offsets.astype(itype) * r),
+                                  shape=(m, site.num_support * r))
+    else:
+        kmax = site.table.shape[1]
+        pairs = np.zeros((m * kmax, r))
+        pairs[site.slot] = e
+        pairs = pairs.reshape(m, kmax, r)
+    return pairs, dact
+
+
+def _padded_forward(site, features, epad, k_eff):
+    """The unnormalized sums (M, O) from the query side, and what its
+    backward reads."""
+    m, _, r = epad.shape
+    i = features.shape[1]
+    fpad = np.take(np.concatenate((features, np.zeros((1, i)))), site.table, axis=0)
+    zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)   # (M, E_raw*I)
+    return zq @ k_eff, (epad, fpad, zq, k_eff)
+
+
+def _support_forward(site, features, s_op, k_eff):
+    """The unnormalized sums (M, O) from the support side, and what its
+    backward reads."""
+    i, o = features.shape[1], k_eff.shape[1]
+    r = k_eff.shape[0] // i
+    k_t = k_eff.reshape(r, i, o).transpose(1, 0, 2).reshape(i, r * o)
+    h = (features @ k_t).reshape(-1, o)                        # (N*E_raw, O)
+    return s_op @ h, (s_op, features, h, k_t)
+
+
+def _forward_site(layer, site, features, keep=True, memo=None):
+    """(out, cache). The cache is what `_backward_site` reads; with
+    `keep=False` it is None and no embedding derivative is formed. `memo`,
+    a dict shared for one forward, lets convs that share a site and an
+    embedding object embed the site's pairs once."""
+    if features.shape != (site.num_support, layer.in_features):
+        raise ShapeError(
+            f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
+        )
+    key = (id(site), id(layer.embedding))
+    if memo is not None and key in memo:
+        pairs, dact = memo[key]
+    else:
+        pairs, dact = _embedded_pairs(layer, site, keep)
+        if memo is not None:
+            memo[key] = (pairs, dact)
+    contract = _support_forward if _support_side(site) else _padded_forward
+    sums, kept = contract(site, features, pairs, _effective_kernel(layer))
     w = _norm_weights(site.counts)
-    k_eff = _effective_kernel(layer)
-    out = (zq @ k_eff) * w[:, None] + layer.bias
+    out = sums * w[:, None] + layer.bias
     if not keep:
         return out, None
-    return out, (epad, fpad, dact, zq, w, k_eff)
+    return out, (dact, w, kept)
+
+
+def _padded_backward(site, uq, kept, with_pairs):
+    """(d_features, d_K_eff as (E_raw, I*O), d_e or None) from the query side."""
+    epad, fpad, zq, k_eff = kept
+    m, _, r = epad.shape
+    i = fpad.shape[2]
+    d_keff = (zq.T @ uq).reshape(r, i * uq.shape[1])           # (E_raw, I*O)
+    dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
+    d_features = site.from_pairs @ _at_pairs(np.matmul(epad, dz), site.slot)
+    d_e = None
+    if with_pairs:
+        d_e = _at_pairs(np.matmul(fpad, dz.transpose(0, 2, 1)), site.slot)   # (T, E_raw)
+    return d_features, d_keff, d_e
+
+
+def _support_backward(site, uq, kept, with_pairs):
+    """(d_features, d_K_eff as (E_raw, I*O), d_e or None) from the support side."""
+    s_op, features, h, k_t = kept
+    n, i = features.shape
+    o = uq.shape[1]
+    r = k_t.shape[1] // o
+    dh = (s_op.T @ uq).reshape(n, r * o)                       # (N, E_raw*O)
+    d_features = dh @ k_t.T
+    d_keff = (features.T @ dh).reshape(i, r, o).transpose(1, 0, 2).reshape(r, i * o)
+    d_e = None
+    if with_pairs:
+        # d_e[t, r] = H[y_t, r] . uq[q_t], one batched matmul over support points
+        uqpad = np.take(np.concatenate((uq, np.zeros((1, o)))), site.support_table, axis=0)
+        g = np.matmul(uqpad, h.reshape(n, r, o).transpose(0, 2, 1))      # (N, Ks, E_raw)
+        d_e = _at_pairs(g, site.support_slot)
+    return d_features, d_keff, d_e
 
 
 def _backward_site(layer, site, upstream, cache, with_offsets=False):
-    """Gradients from the cache of `_forward_site(layer, site, features)`,
-    which holds the padded features backward reads."""
-    epad, fpad, dact, zq, w, k_eff = cache
+    """Gradients from the cache of `_forward_site(layer, site, features)`."""
+    dact, w, kept = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
         raise ShapeError(f"upstream must be ({m}, {layer.out_features})")
     i, o, ec = layer.kernel.shape
-    r = layer.projection.shape[0]
     uq = upstream * w[:, None]                                 # (M, O)
-    d_keff = (zq.T @ uq).reshape(r, i * o)                     # (E_raw, I*O)
+    with_pairs = bool(layer.embedding.params()) or with_offsets
+    contract = _support_backward if _support_side(site) else _padded_backward
+    d_features, d_keff, d_e = contract(site, uq, kept, with_pairs)
     k = layer.kernel.reshape(i * o, ec)
     d_kernel = (layer.projection.T @ d_keff).T.reshape(i, o, ec)
     d_projection = d_keff @ k
-    dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
-    d_pairs = _at_pairs(site, np.matmul(epad, dz))            # (T, I)
-    d_features = site.from_pairs @ d_pairs
     d_bias = upstream.sum(axis=0)
     d_emb = {}
     d_offsets = None
-    if layer.embedding.params() or with_offsets:
-        d_e = _at_pairs(site, np.matmul(fpad, dz.transpose(0, 2, 1)))   # (T, E_raw)
+    if with_pairs:
         d_emb = layer.embedding.gradient_params(site.offsets, d_e, dact)
         if with_offsets:
             jac = layer.embedding.jacobian_offsets(site.offsets)   # (T, E_raw, 3)

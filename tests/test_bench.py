@@ -294,3 +294,19 @@ def test_cli_rejects_unknown_model_names(flag, value, capsys):
         cli.main(["train", flag, value])
     assert exit_info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["grid", "--seeds", "x"], "not a list of integers: 'x'"),
+    (["train", "--seeds", ","], "need at least one seed"),
+    (["grid", "--seeds", ","], "need at least one seed"),
+])
+def test_cli_rejects_bad_seed_lists(argv, why, tmp_path, capsys):
+    """A --seeds value that experiment.seeds would reject is a usage error
+    naming the flag, before anything runs or is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"argument --seeds: {why}" in capsys.readouterr().err
+    assert not out.exists()

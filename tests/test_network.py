@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from pne import geometry, numerics
+from pne import geometry, numerics, pointconv
 from pne.embeddings import icosahedron_kernel_points, icosahedron_shell_spacing
 from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
 from pne.geometry import PointCloud, ball_query, cell_average_subsample, knn
@@ -334,7 +334,8 @@ def test_caches_live_from_training_forward_to_backward():
     """An inference forward leaves no module holding a cache, not even one
     left by an earlier training forward; a training forward fills every
     cache backward reads, and backward releases all of them. Only a
-    backward builds the sites' `from_pairs` operators."""
+    backward builds the sites' `from_pairs` operators, and only on the
+    query-side sites, the ones that read it."""
     cloud = random_cloud(100, seed=21, labeled=True)
     for network, _ in NETWORKS:
         net = network(tree_config(), num_classes=3, seed=21)
@@ -350,7 +351,8 @@ def test_caches_live_from_training_forward_to_backward():
         assert not any("from_pairs" in vars(site) for site in prep.sites.values())
         net.backward(np.ones_like(net.forward(prep, training=True)))
         assert all(m._cache is None for m in modules)
-        assert all("from_pairs" in vars(site) for site in prep.sites.values())
+        assert all(("from_pairs" in vars(site)) != pointconv._support_side(site)
+                   for site in prep.sites.values())
 
 
 def test_block_backward_uses_the_gelu_derivative_the_forward_kept(monkeypatch):
@@ -551,3 +553,79 @@ def test_all_embedding_specs_run(spec):
     net = ClassificationNetwork(make_config(embedding=spec), num_classes=2, seed=24)
     logits = net.forward(net.prepare(cloud), training=False)
     assert np.all(np.isfinite(logits))
+
+
+@pytest.mark.parametrize("neighborhood", [NeighborhoodSpec("ball_query", scale=2.0),
+                                          NeighborhoodSpec("knn", k=5)], ids=["ball_query", "knn"])
+def test_decoder_sites_contract_from_the_support_side(neighborhood, monkeypatch):
+    """In a 3-level segmentation network the convs sum their pairs from the
+    support side on exactly the up and direct sites, whose support is a
+    coarser level than their query, and from the query side on the rest. A
+    training forward and backward build no padded table, slot map or
+    `from_pairs` on a support-side site."""
+    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], neighborhood=neighborhood,
+                      embedding=EmbeddingSpec("mlp:gelu", mlp_dim=4))
+    net = SegmentationNetwork(cfg, num_classes=3, seed=25)
+    prep = net.prepare(random_cloud(120, seed=25, labeled=True))
+    assert len(prep.clouds[0]) > len(prep.clouds[1]) > len(prep.clouds[2])
+    seen = {}
+    for side in ("_support_forward", "_padded_forward", "_support_backward", "_padded_backward"):
+        def spy(site, *args, original=getattr(pointconv, side), side=side):
+            seen.setdefault(side, set()).add(id(site))
+            return original(site, *args)
+        monkeypatch.setattr(pointconv, side, spy)
+    net.backward(np.cos(net.forward(prep, training=True)))
+
+    def names(side):
+        return {name for name, site in prep.sites.items() if id(site) in seen[side]}
+
+    support = {"up0", "up1", "direct1", "direct2"}
+    assert names("_support_forward") == names("_support_backward") == support
+    assert names("_padded_forward") == names("_padded_backward") == set(prep.sites) - support
+    for name in support:
+        assert not {"table", "slot", "from_pairs"} & set(vars(prep.sites[name])), name
+
+
+@pytest.mark.parametrize("embedding", ["kp:gaussian", "none", "mlp:gelu"])
+def test_up0_and_direct1_embed_their_site_once(embedding, monkeypatch):
+    """up0 and direct1 convolve one site with embeddings sized for level 1.
+    A fixed embedding is one object in both, and a forward embeds the site
+    once; no memo is left when the forward returns, and logits and
+    gradients equal, byte for byte, those of a decoder that embeds the site
+    twice. A learnable embedding is not shared."""
+    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1],
+                      embedding=EmbeddingSpec(embedding, mlp_dim=4))
+    net = SegmentationNetwork(cfg, num_classes=3, seed=26)
+    prep = net.prepare(random_cloud(120, seed=26, labeled=True))
+    dec = net.decoder
+    up0, direct1 = dec.upconvs[0], dec.directs[0]
+    shared = embedding != "mlp:gelu"
+    assert (up0.layer.embedding is direct1.layer.embedding) == shared
+    assert prep.sites["up0"] is prep.sites["direct1"]
+    calls = []
+    cls = type(up0.layer.embedding)
+    original = cls.embed
+
+    def counting_embed(self, offsets, **kwargs):
+        calls.append(len(offsets))
+        return original(self, offsets, **kwargs)
+
+    monkeypatch.setattr(cls, "embed", counting_embed)
+
+    def run():
+        calls.clear()
+        logits = net.forward(prep)
+        inference_calls = len(calls)
+        net.zero_grads()
+        kept = net.forward(prep, training=True)
+        assert up0.memo is None and direct1.memo is None
+        net.backward(np.cos(kept))
+        grads = b"".join(g.tobytes() for g in net.grads().values())
+        return logits.tobytes() + kept.tobytes(), grads, inference_calls
+
+    out, grads, calls_shared = run()
+    assert dec._sharing == ((up0, direct1) if shared else ())
+    dec._sharing = ()
+    out_twice, grads_twice, calls_twice = run()
+    assert calls_twice - calls_shared == int(shared)
+    assert out == out_twice and grads == grads_twice

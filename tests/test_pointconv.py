@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from pne import numerics
+from pne import numerics, pointconv
 from pne.embeddings import IdentityEmbedding, KernelPointEmbedding, icosahedron_kernel_points, init_mlp_embedding
 from pne.errors import ShapeError
-from pne.geometry import NeighborList, PointCloud, ball_query
+from pne.geometry import NeighborList, PointCloud, ball_query, knn
 from pne.gradcheck import H, TOL_LOCAL, _kink_mask, _rel_error
 from pne.network import EmbeddingSpec, build_embedding
 from pne.pointconv import (
     ConvLayer,
     _backward_site,
     _forward_site,
+    _support_side,
     conv_backward,
     conv_forward,
     init_conv_layer,
@@ -235,7 +236,9 @@ def test_sum_vs_mean():
 
 def test_make_site_padded_table():
     """Row m of the table starts with the neighbors of query m, in order, and
-    every other slot holds num_support; slot puts each pair at its entry."""
+    every other slot holds num_support; slot puts each pair at its entry.
+    Row n of the support table starts with the queries of the pairs on
+    support point n, in pair order, and every other slot holds M."""
     rng = np.random.default_rng(21)
     support = PointCloud(rng.uniform(-1, 1, size=(20, 3)))
     query = PointCloud(np.vstack([rng.uniform(-1, 1, size=(9, 3)), [[9.0, 9.0, 9.0]]]))
@@ -248,6 +251,14 @@ def test_make_site_padded_table():
         assert np.array_equal(site.table[m, :counts[m]], nl.neighbors(m))
         assert np.all(site.table[m, counts[m]:] == len(support))
     assert np.array_equal(site.table.ravel()[site.slot], nl.indices)
+    qid = nl.query_ids()
+    on_support = np.bincount(nl.indices, minlength=len(support))
+    assert on_support.min() == 0 and len(np.unique(on_support)) >= 4
+    assert site.support_table.shape == (len(support), on_support.max())
+    for n in range(len(support)):
+        assert np.array_equal(site.support_table[n, :on_support[n]], qid[nl.indices == n])
+        assert np.all(site.support_table[n, on_support[n]:] == len(query))
+    assert np.array_equal(site.support_table.ravel()[site.support_slot], qid)
 
 
 def dense_conv_all(layer, nl, offsets, features, formula):
@@ -430,3 +441,57 @@ def test_from_pairs_built_once_on_first_backward():
     again = _backward_site(layer, site, up, cache)
     assert site.from_pairs is op
     assert again.d_features.tobytes() == first.d_features.tobytes()
+
+
+def support_side_site(neighborhood):
+    """A site whose support cloud (8 points) is smaller than its query cloud
+    (20 points). Ball query leaves one far query empty and one support point
+    unreferenced; "duplicates" lists every pair of the kNN site twice."""
+    rng = np.random.default_rng(22)
+    support = PointCloud(np.vstack([rng.uniform(-1, 1, size=(7, 3)), [[-9.0, 0.0, 0.0]]]))
+    query = PointCloud(np.vstack([rng.uniform(-1, 1, size=(19, 3)), [[9.0, 9.0, 9.0]]]))
+    if neighborhood == "ball_query":
+        nl = ball_query(query, support, 0.9)
+        assert nl.counts[-1] == 0 and len(support) - 1 not in nl.indices
+    else:
+        nl = knn(query, support, 3)
+        if neighborhood == "duplicates":
+            nl = NeighborList(2 * nl.offsets, np.repeat(nl.indices, 2))
+    site = make_site(query, support, nl)
+    assert _support_side(site)
+    return site
+
+
+@pytest.mark.parametrize("neighborhood", ["ball_query", "knn", "duplicates"])
+@pytest.mark.parametrize("name", sorted(DENSE_SPECS))
+def test_support_side_matches_padded_path(name, neighborhood, monkeypatch):
+    """On a site with fewer support than query points the conv sums its pairs
+    from the support side; output and every gradient equal those of the
+    padded query-side path, run on the same site, to 1e-12 relative."""
+    site = support_side_site(neighborhood)
+    emb = dense_embedding(name)
+    layer = init_conv_layer(emb, 3, 4, embed_dim=16, seed=23)
+    layer.bias = np.array([0.5, -1.0, 0.0, 2.0])
+    rng = np.random.default_rng(24)
+    features = rng.standard_normal((site.num_support, 3))
+    up = rng.standard_normal((len(site.counts), 4))
+
+    def run():
+        out, cache = _forward_site(layer, site, features)
+        return out, _backward_site(layer, site, up, cache, with_offsets=True)
+
+    out, g = run()
+    assert "table" not in vars(site) and "slot" not in vars(site)
+    monkeypatch.setattr(pointconv, "_support_side", lambda s: False)
+    ref_out, ref = run()
+    assert "table" in vars(site)
+
+    def close(a, b):
+        return np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+
+    assert close(out, ref_out)
+    assert set(g.d_embedding_params) == set(ref.d_embedding_params) == set(emb.params())
+    for field in ("d_features", "d_kernel", "d_projection", "d_bias", "d_offsets"):
+        assert close(getattr(g, field), getattr(ref, field)), field
+    for k, v in ref.d_embedding_params.items():
+        assert close(g.d_embedding_params[k], v), k
