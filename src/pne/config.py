@@ -70,11 +70,7 @@ class ConfigView:
     def _raw(self, section, key, default):
         self.read.add((section, key))
         value = self.sections.get(section, {}).get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigError("missing required key", key=f"{section}.{key}")
-            return default
-        return value
+        return default if value is None else value
 
     def get_str(self, section, key, default=None, choices=None):
         value = self._raw(section, key, default)
@@ -115,12 +111,6 @@ class ConfigView:
                 raise ConfigError(f"malformed list: {value!r}", key=f"{section}.{key}") from None
         return value
 
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
 
 EMBEDDING_NAMES = (tuple(f"kp:{c}" for c in CORRELATION_KINDS)
                    + tuple(f"mlp:{a}" for a in ACTIVATION_KINDS) + ("none",))
@@ -227,6 +217,10 @@ def resolve_experiment(sections):
         raise ConfigError("must be finite and >= 0", key="data.noise_sigma")
     cfg.data_seed = v.get_int("data", "seed", cfg.data_seed)
     cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
+    if cfg.task == "segmentation" and cfg.num_scenes < 2:
+        # the 80/20 scene split needs one scene on each side
+        raise ConfigError(f"segmentation needs >= 2 scenes, got {cfg.num_scenes}",
+                          key="data.num_scenes")
 
     cfg.sweep_factors = v.get_list("sigma_sweep", "factors", cfg.sweep_factors, convert=float)
     if not all(0 < f < math.inf for f in cfg.sweep_factors):

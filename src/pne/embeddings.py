@@ -213,7 +213,7 @@ class MlpEmbedding(Embedding):
 
     def jacobian_offsets(self, offsets):
         offsets = _check_offsets(offsets)
-        dact = numerics.activation_derivative(self.activation, self._pre(offsets))
+        dact = numerics.activation_with_derivative(self.activation, self._pre(offsets))[1]
         return (self._omega() * dact)[..., None] * self.weights[None, :, :]
 
     def gradient_params(self, offsets, upstream, derivative):

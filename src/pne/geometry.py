@@ -6,15 +6,16 @@ Cell averaging ranks the integer cell coordinates with one `np.lexsort`
 from the one before it.
 
 In both searches scipy's cKDTree proposes and an exact norm decides. kNN
-takes each query's k+1 nearest points from the tree and selects again, from
-a wider candidate set, only the rows where a tie at the k-th distance may
-reach past them; `_candidates` gets that set from `query_ball_point`, one
-Python list per such row. Ball query builds no Python object per query: it
-takes every pair within a slightly widened radius from one sweep of a query
-tree against the support tree. A call builds the trees it needs,
-unless its caller passes `_trees`, a dict that keeps each cloud's tree for
-the calls that follow: `Encoder.prepare` builds one tree per pyramid level
-that way, and drops them all when it returns.
+selects through one window: `_window` takes each row's nearest points from
+the tree, re-measures them and keeps the k first by (distance, index). A
+row whose k-th distance may tie a point past its window is selected again
+through a window twice as wide, until no row is in doubt; on clouds without
+ties that is none, so one window of k+1 serves every row. Ball query builds
+no Python object per query: it takes every pair within a slightly widened
+radius from one sweep of a query tree against the support tree. A call
+builds the trees it needs, unless its caller passes `_trees`, a dict that
+keeps each cloud's tree for the calls that follow: `Encoder.prepare` builds
+one tree per pyramid level that way, and drops them all when it returns.
 
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
@@ -23,7 +24,6 @@ Conventions that tests rely on:
   * a query point contained in the support cloud is its own neighbor.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -183,36 +183,46 @@ def _pair_distances(query, support, qid, idx):
                       np.take(query.positions, qid, axis=0))
 
 
-def _candidates(tree, query, support, radii):
-    """Support points the tree proposes within `radii` of each query.
-
-    Returns flat (query id, support index, distance) arrays ordered by query
-    id, then support index.
-    """
-    hits = tree.query_ball_point(query.positions, radii * (1.0 + _SLACK), return_sorted=True)
-    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-    idx = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64,
-                      count=int(counts.sum()))
-    qid = np.repeat(np.arange(len(query)), counts)
-    return qid, idx, _pair_distances(query, support, qid, idx)
-
-
 def _neighbor_list(num_queries, qid, idx):
     offsets = np.zeros(num_queries + 1, dtype=np.int64)
     np.cumsum(np.bincount(qid, minlength=num_queries), out=offsets[1:])
     return NeighborList(offsets, idx)
 
 
+def _window(tree, positions, support, take, width):
+    """The `take` nearest support points of each row of `positions`, sorted
+    ascending, selected from the `width` nearest the tree proposes, and the
+    rows whose selection is in doubt.
+
+    Re-measured with the exact norm and ordered by (distance, index), the
+    first `take` of the window are the answer unless a point outside it may
+    tie the take-th. Every point outside has tree distance >= the window's
+    last, tree_d[:, -1], and norm >= tree distance / (1 + _SLACK). Where
+    tree_d[:, -1] > kth * (1 + _SLACK)**2, each of them has norm
+    > kth * (1 + _SLACK) > kth, the take-th norm in the window, so the window
+    holds the answer. A window of the whole support leaves no row in doubt.
+    """
+    tree_d, idx = tree.query(positions, k=list(range(1, width + 1)))
+    d = _distances(np.take(support.positions, idx, axis=0), positions[:, None, :])
+    # ties at the k-th distance break toward the smallest support index
+    order = np.lexsort((idx, d))
+    nearest = np.sort(np.take_along_axis(idx, order[:, :take], axis=1), axis=1)
+    if width == len(support):
+        return nearest, np.empty(0, dtype=np.int64)
+    kth = np.take_along_axis(d, order[:, take - 1:take], axis=1)[:, 0]
+    return nearest, np.flatnonzero(tree_d[:, -1] <= kth * (1.0 + _SLACK) ** 2)
+
+
 def knn(query, support, k, *, _trees=None):
     """k nearest support points per query (all of them if support has
     fewer than k points).
 
-    The KD-tree returns each query's k+1 nearest points. Re-measured with the
-    exact norm and ordered by (distance, index), the first k of them are the
-    answer unless the (k+1)-th tree distance comes within the slack of the
-    k-th distance: then a point outside the window may tie the k-th one
-    (lattices, duplicates). Only those rows are selected again, from every
-    support point the tree proposes within their k-th distance.
+    Every row is selected through a window of its k+1 nearest tree points;
+    the rows in doubt there (a tie at the k-th distance may reach past the
+    window: lattices, duplicates) are selected again through a window twice
+    as wide, and so on, up to the whole support cloud. A row leaves once its
+    window reaches past the points tied at its k-th distance, so its last
+    window is at most twice as wide as it needs.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
@@ -221,28 +231,11 @@ def knn(query, support, k, *, _trees=None):
     take = min(k, len(support))
     width = min(take + 1, len(support))
     tree = _tree(support, {} if _trees is None else _trees)
-    tree_d, idx = tree.query(query.positions, k=list(range(1, width + 1)))
-    d = _distances(np.take(support.positions, idx, axis=0), query.positions[:, None, :])
-    # ties at the k-th distance break toward the smallest support index
-    order = np.lexsort((idx, d))
-    nearest = np.sort(np.take_along_axis(idx, order[:, :take], axis=1), axis=1)
-    if len(support) > width:
-        # Every point outside the window has tree distance >= the window's
-        # last, tree_d[:, take], and norm >= tree distance / (1 + _SLACK).
-        # Where tree_d[:, take] > kth * (1 + _SLACK)**2, each of them has norm
-        # > kth * (1 + _SLACK) > kth, the k-th norm in the window, so the
-        # window holds the k nearest. The other rows go through the candidates.
-        kth = np.take_along_axis(d, order[:, take - 1:take], axis=1)[:, 0]
-        unsure = np.flatnonzero(tree_d[:, take] <= kth * (1.0 + _SLACK) ** 2)
-        if len(unsure):
-            rows = PointCloud(query.positions[unsure])
-            qid, cand, cand_d = _candidates(tree, rows, support, tree_d[unsure, take - 1])
-            # qid is sorted, so position i of `order` belongs to row qid[i]
-            order = np.lexsort((cand, cand_d, qid))
-            counts = np.bincount(qid, minlength=len(rows))
-            rank = np.arange(len(qid)) - (np.cumsum(counts) - counts)[qid]
-            # back in candidate order, which keeps each row's indices sorted
-            nearest[unsure] = cand[np.sort(order[rank < take])].reshape(-1, take)
+    nearest, rows = _window(tree, query.positions, support, take, width)
+    while len(rows):
+        width = min(2 * width, len(support))
+        nearest[rows], doubt = _window(tree, query.positions[rows], support, take, width)
+        rows = rows[doubt]
     offsets = np.arange(len(query) + 1, dtype=np.int64) * take
     return NeighborList(offsets, nearest.reshape(-1))
 

@@ -46,21 +46,10 @@ def activation_forward(kind, x):
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
-def activation_derivative(kind, x):
-    """Elementwise derivative. ReLU at exactly 0 is defined as 0."""
-    x = _check_finite(x)
-    if kind == RELU:
-        return (x > 0.0).astype(np.float64)
-    if kind == GELU:
-        return normal_cdf(x) + x * normal_pdf(x)
-    if kind == SIN:
-        return np.cos(x)
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def activation_with_derivative(kind, x):
-    """(activation_forward(kind, x), activation_derivative(kind, x)), bit for
-    bit, in one pass: GELU evaluates the normal CDF once for both."""
+    """(activation_forward(kind, x), its elementwise derivative), the value
+    bit for bit, in one pass: GELU evaluates the normal CDF once for both.
+    ReLU's derivative at exactly 0 is defined as 0."""
     x = _check_finite(x)
     if kind == RELU:
         return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)

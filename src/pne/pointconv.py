@@ -93,38 +93,36 @@ class ConvSite:
     num_support: int
 
     @cached_property
+    def _by_query(self):
+        return _grouped(self.neighbors.query_ids(), len(self.counts),
+                        self.neighbors.indices, self.num_support)
+
+    @cached_property
     def slot(self):
         """(T,) flat position of each pair in `table`."""
-        qid = self.neighbors.query_ids()
-        kmax = self.counts.max(initial=0)
-        return np.arange(len(qid)) + (qid * kmax - self.neighbors.offsets[qid])
+        return self._by_query[1]
 
     @cached_property
     def table(self):
         """(M, Kmax) support index per slot; num_support if empty."""
-        m, kmax = len(self.counts), self.counts.max(initial=0)
-        table = np.full(m * kmax, self.num_support, dtype=np.int64)
-        table[self.slot] = self.neighbors.indices
-        return table.reshape(m, kmax)
+        return self._by_query[0]
+
+    @cached_property
+    def _by_support(self):
+        return _grouped(self.neighbors.indices, self.num_support,
+                        self.neighbors.query_ids(), len(self.counts))
 
     @cached_property
     def support_slot(self):
         """(T,) flat position of each pair in `support_table`."""
-        y = self.neighbors.indices
-        counts = np.bincount(y, minlength=self.num_support)
-        rank = np.empty(len(y), dtype=np.int64)
-        rank[np.argsort(y, kind="stable")] = np.arange(len(y))
-        return rank + (y * counts.max(initial=0) - (np.cumsum(counts) - counts)[y])
+        return self._by_support[1]
 
     @cached_property
     def support_table(self):
         """(N, Ks) query index per slot, Ks the most pairs on one support
         point; M if empty. Row n lists, in pair order, the queries of the
         pairs on support point n."""
-        kmax = np.bincount(self.neighbors.indices, minlength=self.num_support).max(initial=0)
-        table = np.full(self.num_support * kmax, len(self.counts), dtype=np.int64)
-        table[self.support_slot] = self.neighbors.query_ids()
-        return table.reshape(self.num_support, kmax)
+        return self._by_support[0]
 
     @cached_property
     def from_pairs(self):
@@ -136,10 +134,31 @@ class ConvSite:
                                  shape=(self.num_support, t))
 
 
+def _grouped(keys, num_groups, values, fill):
+    """The padded table of pairs grouped by `keys` and each pair's flat
+    position (slot) in it. Row g lists, in pair order, the `values` of the
+    pairs whose key is g, and `fill` in its empty slots."""
+    counts = np.bincount(keys, minlength=num_groups)
+    width = counts.max(initial=0)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[np.argsort(keys, kind="stable")] = np.arange(len(keys))
+    slot = rank + (keys * width - (np.cumsum(counts) - counts)[keys])
+    table = np.full(num_groups * width, fill, dtype=np.int64)
+    table[slot] = values
+    return table.reshape(num_groups, width), slot
+
+
 def make_site(query, support, neighbors):
     """Build a ConvSite from a neighbor list between `query` and `support`."""
+    if neighbors.num_queries != len(query):
+        raise ShapeError(f"neighbor list is for {neighbors.num_queries} queries, "
+                         f"query cloud has {len(query)} points")
+    idx = neighbors.indices
+    if len(idx) and not 0 <= idx.min() <= idx.max() < len(support):
+        raise ShapeError(f"neighbor indices must lie in [0, {len(support)}), "
+                         f"found [{idx.min()}, {idx.max()}]")
     # np.take gathers rows several times faster than fancy indexing
-    offsets = (np.take(support.positions, neighbors.indices, axis=0)
+    offsets = (np.take(support.positions, idx, axis=0)
                - np.take(query.positions, neighbors.query_ids(), axis=0))
     return ConvSite(
         neighbors=neighbors,

@@ -190,6 +190,21 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_train_rejects_one_segmentation_scene(tmp_path, monkeypatch, capsys):
+    """One scene leaves the 80/20 split's test side empty: a config error
+    (exit 2) before any data is built or trained on."""
+    def no_data(cfg):
+        raise AssertionError("datasets built")
+
+    monkeypatch.setattr(bench, "build_datasets", no_data)
+    cfg_path = tmp_path / "seg.cfg"
+    cfg_path.write_text("[experiment]\ntask = segmentation\n[data]\nnum_scenes = 1\n")
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "data.num_scenes" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_gradcheck_exit_codes(monkeypatch, capsys):
     from pne.gradcheck import CheckRow
 

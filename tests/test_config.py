@@ -141,6 +141,7 @@ def test_resolve_overrides():
     ("[data]\ntrain_per_class = 0\n", "data.train_per_class"),
     ("[data]\ntest_per_class = 0\n", "data.test_per_class"),
     ("[data]\nnum_scenes = 0\n", "data.num_scenes"),
+    ("[experiment]\ntask = segmentation\n[data]\nnum_scenes = 1\n", "data.num_scenes"),
     ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
     ("[data]\nnoise_sigma = nan\n", "data.noise_sigma"),
     ("[data]\nnoise_sigma = inf\n", "data.noise_sigma"),

@@ -201,10 +201,10 @@ def test_mlp_embed_with_derivative_feeds_gradient_params(act):
     offs = rng.uniform(-1, 1, size=(40, 3))
     e, dact = emb.embed(offs, with_derivative=True)
     assert e.tobytes() == emb.embed(offs).tobytes()
-    assert dact.tobytes() == numerics.activation_derivative(act, emb._pre(offs)).tobytes()
+    assert dact.tobytes() == numerics.activation_with_derivative(act, emb._pre(offs))[1].tobytes()
     up = rng.standard_normal((40, 5))
     kept = emb.gradient_params(offs, up, dact)
-    fresh = emb.gradient_params(offs, up, numerics.activation_derivative(act, emb._pre(offs)))
+    fresh = emb.gradient_params(offs, up, numerics.activation_with_derivative(act, emb._pre(offs))[1])
     for k in ("weights", "biases"):
         assert kept[k].tobytes() == fresh[k].tobytes()
     with pytest.raises(ShapeError):

@@ -304,22 +304,53 @@ def test_ball_query_matches_bruteforce(case):
             assert as_lists(nl) == [e.tolist() for e in expected]
 
 
+def spy_windows(monkeypatch):
+    """Record (rows, width) of every `_window` call: the positions it
+    selects for and the window width."""
+    calls = []
+    window = geometry._window
+
+    def spy(tree, positions, support, take, width):
+        calls.append((positions.copy(), width))
+        return window(tree, positions, support, take, width)
+
+    monkeypatch.setattr(geometry, "_window", spy)
+    return calls
+
+
 def test_knn_reselects_only_the_tied_rows(monkeypatch):
-    """In one call, the rows tied at the k-th distance go through the
-    exact candidate re-selection and the others do not."""
+    """The first window covers every row at width k+1; each later one
+    covers only the rows still tied at the k-th distance, twice as wide."""
     query, support = next(clouds("tie_mix", np.random.default_rng(3)))
-    rows = []
-    candidates = geometry._candidates
-
-    def spy(tree, rows_query, *args):
-        rows.append(len(rows_query))
-        return candidates(tree, rows_query, *args)
-
-    monkeypatch.setattr(geometry, "_candidates", spy)
+    calls = spy_windows(monkeypatch)
     for k in (1, 7, 19):
-        rows.clear()
+        calls.clear()
         assert as_lists(knn(query, support, k)) == [e.tolist() for e in brute_knn(query, support, k)]
-        assert len(rows) == 1 and 0 < rows[0] < len(query)
+        d = np.sort(np.linalg.norm(query.positions[:, None] - support.positions, axis=2), axis=1)
+        tied = d[:, k] <= d[:, k - 1] * (1.0 + 1e-6)
+        assert 0 < tied.sum() < len(query)
+        assert calls[0][0].tobytes() == query.positions.tobytes() and calls[0][1] == k + 1
+        assert calls[1][0].tobytes() == query.positions[tied].tobytes()
+        for (rows, width), (later, wider) in zip(calls, calls[1:]):
+            assert 0 < len(later) <= len(rows) and wider == min(2 * width, len(support))
+
+
+@pytest.mark.parametrize("scattered, widths", [(200, [17, 34, 68]), (20, [17, 34, 60])])
+def test_knn_widens_until_no_row_is_tied(monkeypatch, scattered, widths):
+    """40 copies of one point, and the points whose 16th nearest is one of
+    them, tie at the 16th distance through windows of 17 and 34; the third
+    window, 68 wide or the whole support, settles them."""
+    rng = np.random.default_rng(9)
+    points = np.concatenate([np.full((40, 3), 0.5), rng.uniform(-1, 1, size=(scattered, 3))])
+    support = PointCloud(points[rng.permutation(len(points))])
+    calls = spy_windows(monkeypatch)
+    nl = knn(support, support, 16)
+    assert as_lists(nl) == [e.tolist() for e in brute_knn(support, support, 16)]
+    assert [width for _, width in calls] == widths
+    d = np.sort(np.linalg.norm(support.positions[:, None] - support.positions, axis=2), axis=1)
+    tied = d[:, 16] <= d[:, 15] * (1.0 + 1e-6)
+    assert np.all(tied[np.all(support.positions == 0.5, axis=1)])
+    assert calls[1][0].tobytes() == support.positions[tied].tobytes()
 
 
 SKEW = 1.0 + 1e-12
@@ -334,9 +365,6 @@ class SkewedTree(cKDTree):
     def query(self, x, *args, **kwargs):
         d, i = super().query(x, *args, **kwargs)
         return d * SKEW, i
-
-    def query_ball_point(self, x, r, *args, **kwargs):
-        return super().query_ball_point(x, np.asarray(r) / SKEW, *args, **kwargs)
 
     def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
         return super().sparse_distance_matrix(other, max_distance / SKEW, *args, **kwargs)

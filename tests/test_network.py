@@ -371,7 +371,7 @@ def test_block_backward_uses_the_gelu_derivative_the_forward_kept(monkeypatch):
         if recompute:
             k1, k2, _ = block._cache
             z = block.fc1._cache @ block.fc1.weights + block.fc1.bias
-            block._cache = (k1, k2, numerics.activation_derivative(numerics.GELU, z))
+            block._cache = (k1, k2, numerics.activation_with_derivative(numerics.GELU, z)[1])
         dx = block.backward(np.cos(out))
         runs.append([dx.tobytes()] + [g.tobytes() for g in block.grads().values()])
     assert runs[0] == runs[1]
@@ -380,7 +380,6 @@ def test_block_backward_uses_the_gelu_derivative_the_forward_kept(monkeypatch):
         raise AssertionError("inference formed an activation derivative")
 
     monkeypatch.setattr(numerics, "activation_with_derivative", forbidden)
-    monkeypatch.setattr(numerics, "activation_derivative", forbidden)
     block.forward(prep, x)
     assert all(m._cache is None for m in _modules(block))
 
@@ -502,12 +501,6 @@ def test_search_reads_only_its_own_parameter():
         assert spec.receptive_radius(0.3) == 2.0 * 0.3
 
 
-def modules(module):
-    yield module
-    for _, child in module.children():
-        yield from modules(child)
-
-
 @pytest.mark.parametrize("neighborhood, shell_at", [
     (NeighborhoodSpec("knn", k=5), lambda cell: 1.2 * (1.5 * cell)),
     (NeighborhoodSpec("ball_query", scale=2.5), lambda cell: 0.6 * (2.5 * cell)),
@@ -521,7 +514,7 @@ def test_kernel_layout_per_conv(neighborhood, shell_at):
                       neighborhood=neighborhood,
                       embedding=EmbeddingSpec("kp:triangular", sigma_factor=0.7))
     net = SegmentationNetwork(cfg, num_classes=3, seed=0)
-    convs = [m for m in modules(net) if isinstance(m, ConvModule)]
+    convs = [m for m in _modules(net) if isinstance(m, ConvModule)]
     assert sorted(c.site_name for c in convs) == [
         "direct1", "direct2", "down0", "down1", "self0", "self1", "self2", "up0", "up1"]
     for conv in convs:

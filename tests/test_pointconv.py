@@ -261,6 +261,29 @@ def test_make_site_padded_table():
     assert np.array_equal(site.support_table.ravel()[site.support_slot], qid)
 
 
+@pytest.mark.parametrize("offsets, indices, message", [
+    ([0, 1, 2, 3], [0, 1, 4], r"must lie in \[0, 4\), found \[0, 4\]"),
+    ([0, 1, 2, 3], [0, -1, 2], r"must lie in \[0, 4\), found \[-1, 2\]"),
+    ([0, 1, 2, 3, 4], [0, 1, 2, 3], "is for 4 queries, query cloud has 3 points"),
+    ([0, 1, 2], [0, 1], "is for 2 queries, query cloud has 3 points"),
+], ids=["index_past_support", "negative_index", "too_many_queries", "too_few_queries"])
+def test_make_site_rejects_lists_that_do_not_fit(offsets, indices, message):
+    """A neighbor list for another query count, or with an index outside
+    the support cloud, is a ShapeError in make_site and so in conv_forward
+    and conv_backward."""
+    rng = np.random.default_rng(22)
+    layer = init_conv_layer(IdentityEmbedding(), 1, 2, 4)
+    query, support = PointCloud(rng.uniform(size=(3, 3))), PointCloud(rng.uniform(size=(4, 3)))
+    nl = NeighborList(np.array(offsets), np.array(indices))
+    features = np.ones((4, 1))
+    with pytest.raises(ShapeError, match=message):
+        make_site(query, support, nl)
+    with pytest.raises(ShapeError, match=message):
+        conv_forward(layer, query, support, nl, features)
+    with pytest.raises(ShapeError, match=message):
+        conv_backward(layer, query, support, nl, features, np.ones((3, 2)))
+
+
 def dense_conv_all(layer, nl, offsets, features, formula):
     """The paper's formula query by query: every (pair, channel) term formed
     and summed directly, as the benchmark's dense conv oracle does. The
@@ -413,7 +436,7 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
     g = _backward_site(layer, site, up, cache)
     ((d_e, derivative),) = seen
     assert derivative is not None
-    fresh = original(site.offsets, d_e, numerics.activation_derivative(act, emb._pre(site.offsets)))
+    fresh = original(site.offsets, d_e, numerics.activation_with_derivative(act, emb._pre(site.offsets))[1])
     assert set(g.d_embedding_params) == {"weights", "biases"}
     for k, v in fresh.items():
         assert g.d_embedding_params[k].tobytes() == v.tobytes()
