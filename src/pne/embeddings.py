@@ -5,9 +5,10 @@ ReLU/GELU/Sin activations, and the identity embedding.
 Every embedding maps relative offsets (y - x, shape N x 3) to N x E_raw
 descriptors and provides the analytic Jacobian w.r.t. the offsets plus
 gradients w.r.t. its learnable parameters (MLP weights and biases; kernel
-points and sigma are fixed). Kernel-point correlations are evaluated from
-(N, K) squared distances summed one axis at a time, with no (N, K, 3)
-difference tensor.
+points and sigma are fixed). Kernel-point correlations are evaluated in a
+(K, N) layout, the pairs on the contiguous axis: squared distances summed
+one axis at a time into one array, with no (N, K, 3) difference tensor, the
+correlation formed in place on it, and its (N, K) transposed view returned.
 """
 
 from dataclasses import dataclass, field
@@ -124,49 +125,56 @@ class KernelPointEmbedding(Embedding):
     def raw_dim(self):
         return len(self.kernel_points)
 
-    def _axis_diffs(self, offsets):
-        """Yield offsets[:, c] - kernel_points[:, c], (N, K), for c = x, y, z."""
-        return (np.subtract.outer(offsets[:, c], self.kernel_points[:, c]) for c in range(3))
-
     def _sq_dists(self, offsets):
-        """(N, K) squared distances summed in x, y, z order, as np.linalg.norm
-        sums them, so sqrt(d2) equals the norm of the difference bit for bit.
-        The y and z squares are added into the x one in place."""
-        squares = (np.square(diff, out=diff) for diff in self._axis_diffs(offsets))
-        d2 = next(squares)
-        for sq in squares:
-            d2 += sq
+        """(K, N) squared distances, the pairs on the contiguous axis, summed
+        in x, y, z order, as np.linalg.norm sums them, so sqrt(d2) equals the
+        norm of the difference bit for bit. The y and z squares are formed in
+        one scratch array and added into the x one."""
+        cols = np.ascontiguousarray(offsets.T)                 # (3, N)
+        kp = self.kernel_points[:, :, None]                    # (K, 3, 1)
+        d2 = np.subtract(cols[0], kp[:, 0])
+        np.square(d2, out=d2)
+        scratch = np.empty_like(d2)
+        for c in (1, 2):
+            np.subtract(cols[c], kp[:, c], out=scratch)
+            d2 += np.square(scratch, out=scratch)
         return d2
 
     def embed(self, offsets):
+        """(N, K) correlations, the transposed view of a (K, N) array."""
         offsets = _check_offsets(offsets)
         d2 = self._sq_dists(offsets)
         if self.correlation == BOX:
             # one-hot on the nearest kernel point; argmin ties -> smallest j
-            return np.eye(self.raw_dim)[d2.argmin(axis=1)]
+            return np.eye(self.raw_dim)[d2.argmin(axis=0)]
         # in place, in the operation order of max(1 - sqrt(d2) / sigma, 0)
         # and exp(-d2 / (2 sigma^2))
         if self.correlation == TRIANGULAR:
             np.sqrt(d2, out=d2)
             d2 /= self.sigma
             np.subtract(1.0, d2, out=d2)
-            return np.maximum(d2, 0.0, out=d2)
-        np.negative(d2, out=d2)
-        d2 /= 2.0 * self.sigma**2
-        return np.exp(d2, out=d2)
+            np.maximum(d2, 0.0, out=d2)
+        else:
+            np.negative(d2, out=d2)
+            d2 /= 2.0 * self.sigma**2
+            np.exp(d2, out=d2)
+        return d2.T
 
     def jacobian_offsets(self, offsets):
         offsets = _check_offsets(offsets)
         if self.correlation == BOX:
             return np.zeros((len(offsets), self.raw_dim, 3))
         d2 = self._sq_dists(offsets)
+        diffs = offsets.T[:, None, :] - self.kernel_points.T[:, :, None]   # (3, K, N)
         if self.correlation == TRIANGULAR:
             # zero at the cone apex (d=0) and outside the support (d>=sigma)
             d = np.sqrt(d2)
             denom = np.where((d > 0.0) & (d < self.sigma), self.sigma * d, np.inf)
-            return np.stack([-diff / denom for diff in self._axis_diffs(offsets)], axis=2)
-        e = np.exp(-d2 / (2.0 * self.sigma**2))
-        return np.stack([e * -diff / self.sigma**2 for diff in self._axis_diffs(offsets)], axis=2)
+            jac = -diffs / denom
+        else:
+            e = np.exp(-d2 / (2.0 * self.sigma**2))
+            jac = e * -diffs / self.sigma**2
+        return jac.transpose(2, 1, 0)                          # (N, K, 3)
 
 
 @dataclass
@@ -201,7 +209,12 @@ class MlpEmbedding(Embedding):
         return SIN_FREQUENCY if self.activation == numerics.SIN else 1.0
 
     def _pre(self, offsets):
-        return self._omega() * (offsets @ self.weights.T + self.biases)
+        """omega_0 (W p + b), (N, E), formed in place on the matmul's output."""
+        pre = offsets @ self.weights.T
+        pre += self.biases
+        if self.activation == numerics.SIN:
+            pre *= SIN_FREQUENCY
+        return pre
 
     def embed(self, offsets, with_derivative=False):
         """e (N, E), or (e, act'(pre)) when `with_derivative`: the pair that

@@ -83,8 +83,8 @@ def _make_embeddings(seed):
 def _kink_mask(emb, offsets):
     """True for probe rows safely away from non-differentiable loci."""
     if isinstance(emb, KernelPointEmbedding) and emb.correlation == "triangular":
-        d = np.sqrt(emb._sq_dists(offsets))
-        return (np.abs(d - emb.sigma).min(axis=1) > KINK_MARGIN) & (d.min(axis=1) > KINK_MARGIN)
+        d = np.sqrt(emb._sq_dists(offsets))                    # (K, N)
+        return (np.abs(d - emb.sigma).min(axis=0) > KINK_MARGIN) & (d.min(axis=0) > KINK_MARGIN)
     if isinstance(emb, MlpEmbedding) and emb.activation == numerics.RELU:
         pre = emb._pre(offsets)
         return np.abs(pre).min(axis=1) > KINK_MARGIN

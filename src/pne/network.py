@@ -356,7 +356,6 @@ class PreparedSample:
     Two names that denote the same search map to one site object."""
 
     clouds: list
-    initial_features: np.ndarray
     sites: dict
     label: Optional[int] = None
 
@@ -440,13 +439,11 @@ class Encoder(Module):
             if for_decoder and lvl >= 1:
                 sites[f"direct{lvl}"] = (sites["up0"] if lvl == 1 else
                                          site(clouds[0], clouds[lvl], lvl))
-        return PreparedSample(
-            clouds=clouds, initial_features=clouds[0].features, sites=sites
-        )
+        return PreparedSample(clouds=clouds, sites=sites)
 
     def forward(self, prep, training=False, rng=None):
         """Returns the post-block feature map of every level."""
-        feats = self.init_linear.forward(prep.initial_features, training=training)
+        feats = self.init_linear.forward(prep.clouds[0].features, training=training)
         per_level = []
         for lvl, blocks in enumerate(self.levels):
             for block in blocks:
@@ -648,7 +645,8 @@ def _read_exact(fh, size, what, tensor=None):
 
 def load_params(path):
     """Read a file written by `save_params`. A truncated file, trailing bytes
-    or non-finite values raise ParamFileError naming the tensor at fault."""
+    or non-finite values raise ParamFileError naming the tensor at fault; a
+    name that is not UTF-8, its position in the tensor table."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ParamFileError("not a parameter file")
@@ -656,9 +654,14 @@ def load_params(path):
         if version != _VERSION:
             raise ParamFileError(f"unsupported version {version}")
         table = []
-        for _ in range(count):
+        for pos in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "tensor table"))
-            name = _read_exact(fh, nlen, "tensor table").decode("utf-8")
+            raw = _read_exact(fh, nlen, "tensor table")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParamFileError(f"tensor table entry {pos}: name is not UTF-8 "
+                                     f"({exc.reason} at byte {exc.start})") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor table", name))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "tensor table", name))
             table.append((name, shape))

@@ -18,20 +18,21 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def normal_cdf(x):
-    """Standard normal CDF via the error function (no tanh approximation)."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) * _INV_SQRT2))
-
-
-def normal_pdf(x):
-    return _INV_SQRT2PI * np.exp(-0.5 * np.square(np.asarray(x, dtype=np.float64)))
-
-
 def _check_finite(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("activation input must be finite")
     return x
+
+
+def _gelu_cdf(x):
+    """Phi(x) = 0.5 (1 + erf(x * (1 / sqrt(2)))), the normal CDF through the
+    error function (no tanh approximation), formed in one new array."""
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def activation_forward(kind, x):
@@ -40,7 +41,9 @@ def activation_forward(kind, x):
     if kind == RELU:
         return np.maximum(x, 0.0)
     if kind == GELU:
-        return x * normal_cdf(x)
+        y = _gelu_cdf(x)
+        y *= x
+        return y[()]
     if kind == SIN:
         return np.sin(x)
     raise ValueError(f"unknown activation kind: {kind!r}")
@@ -48,14 +51,22 @@ def activation_forward(kind, x):
 
 def activation_with_derivative(kind, x):
     """(activation_forward(kind, x), its elementwise derivative), the value
-    bit for bit, in one pass: GELU evaluates the normal CDF once for both.
+    bit for bit, in one pass: GELU evaluates the normal CDF once for both,
+    x Phi(x) and Phi(x) + x phi(x), each in its own output array.
     ReLU's derivative at exactly 0 is defined as 0."""
     x = _check_finite(x)
     if kind == RELU:
         return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
     if kind == GELU:
-        cdf = normal_cdf(x)
-        return x * cdf, cdf + x * normal_pdf(x)
+        y = _gelu_cdf(x)
+        dy = np.square(x, out=np.empty_like(x))                # x phi(x), then + Phi(x)
+        dy *= -0.5
+        np.exp(dy, out=dy)
+        dy *= _INV_SQRT2PI
+        dy *= x
+        dy += y
+        y *= x
+        return y[()], dy[()]
     if kind == SIN:
         return np.sin(x), np.cos(x)
     raise ValueError(f"unknown activation kind: {kind!r}")

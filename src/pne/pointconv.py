@@ -45,6 +45,10 @@ query side does M * Kmax * E_raw * I for zq and M * E_raw * I * O for the
 product; no padded table is built. Backward: dH = S^T @ (norm * upstream),
 d_features = dH @ K_t^T and d_K_eff from f^T @ dH.
 
+`embed` may return a transposed view rather than a C-contiguous (T, E_raw)
+array (the kernel-point embeddings do): the scatter into epad and the
+`e.ravel()` that fills S read it through its strides.
+
 On either side d_K_eff splits into d_kernel and d_projection through P and
 kappa, and the per-pair embedding gradient d_e (T, E_raw) is formed only
 when the embedding has learnable parameters or offset gradients are

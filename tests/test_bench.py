@@ -5,6 +5,7 @@ import pytest
 
 from pne import bench, cli
 from pne.config import ExperimentConfig
+from pne.network import save_params
 
 
 def tiny_cfg(**overrides):
@@ -270,6 +271,21 @@ def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch, capsys):
                    "--params", str(model)])
     assert rc == 2
     assert "file truncated" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_a_name_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY_CFG_TEXT)
+    model = tmp_path / "model.bin"
+    save_params(model, {"enc.init.weights": np.ones((2, 4))})
+    data = bytearray(model.read_bytes())
+    data[data.index(b"init")] = 0xFF
+    model.write_bytes(bytes(data))
+    rc = cli.main(["eval", "--config", str(cfg_path), "--params", str(model)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tensor table entry 0: name is not UTF-8")
+    assert "Traceback" not in err
 
 
 def test_cli_missing_params_or_config_file_exits_2(tmp_path, capsys):

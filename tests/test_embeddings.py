@@ -310,3 +310,63 @@ def test_kp_box_exact_tie_goes_to_smallest_index():
     assert np.all(d2 == 0.75)  # all 8 corners tie
     assert np.array_equal(emb.embed(origin), _kp_reference(emb, origin)[0])
     assert emb.embed(origin)[0, 0] == 1.0
+
+
+def _pair_major(emb, offsets):
+    """The kernel-point correlation from the (N, K) pair-major formula: per-axis
+    differences from np.subtract.outer, squares summed x, y, z."""
+    dx, dy, dz = (np.subtract.outer(offsets[:, c], emb.kernel_points[:, c]) for c in range(3))
+    d2 = np.square(dx) + np.square(dy) + np.square(dz)
+    if emb.correlation == "box":
+        return np.eye(emb.raw_dim)[d2.argmin(axis=1)]
+    if emb.correlation == "triangular":
+        return np.maximum(1.0 - np.sqrt(d2) / emb.sigma, 0.0)
+    return np.exp(-d2 / (2.0 * emb.sigma**2))
+
+
+def _pinned_offsets():
+    """(name, offsets): random sets of 0, 1, 13 and 5000 pairs, a cloud 1e6
+    from the origin, zero offsets, and offsets exactly on kernel points."""
+    rng = np.random.default_rng(21)
+    kps = icosahedron_kernel_points(0.6)
+    sets = [(f"n{n}", rng.uniform(-1.0, 1.0, (n, 3))) for n in (0, 1, 13, 5000)]
+    sets.append(("far", rng.uniform(-1.0, 1.0, (300, 3)) + 1e6))
+    sets.append(("zero", np.zeros((7, 3))))
+    sets.append(("on_kernel_points", np.concatenate([kps, kps[::-1]])))
+    return sets
+
+
+@pytest.mark.parametrize("name, offs", _pinned_offsets())
+@pytest.mark.parametrize("correlation", ["box", "triangular", "gaussian"])
+def test_kernel_point_embedding_equals_pair_major_formula(correlation, name, offs):
+    emb = KernelPointEmbedding(icosahedron_kernel_points(0.6), 0.55, correlation)
+    e = emb.embed(offs)
+    assert e.shape == (len(offs), 13)
+    assert e.tobytes() == _pair_major(emb, offs).tobytes()
+
+
+def test_box_tie_picks_the_smallest_kernel_index():
+    # the origin is exactly as far from +x as from -x, and a point on a
+    # repeated kernel point is exactly on both copies
+    emb = KernelPointEmbedding(np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 2.0]]), 1.0, "box")
+    offs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 1.9]])
+    e = emb.embed(offs)
+    assert e.argmax(axis=1).tolist() == [1, 0, 0]
+    assert e.tobytes() == _pair_major(emb, offs).tobytes()
+
+
+@pytest.mark.parametrize("name, offs", _pinned_offsets())
+@pytest.mark.parametrize("act", numerics.ACTIVATION_KINDS)
+def test_mlp_embedding_equals_activation_of_affine_offsets(act, name, offs):
+    """Value and derivative are the activation's, bit for bit, at
+    omega_0 * (offsets @ W^T + b), with biases off zero so that the order of
+    the bias and the frequency shows."""
+    emb = init_mlp_embedding(16, 1.0, act, seed=22)
+    emb.biases[:] = np.random.default_rng(23).uniform(-0.5, 0.5, 16)
+    omega = SIN_FREQUENCY if act == numerics.SIN else 1.0
+    pre = omega * (offs @ emb.weights.T + emb.biases)
+    y, dy = numerics.activation_with_derivative(act, pre)
+    e, dact = emb.embed(offs, with_derivative=True)
+    assert e.tobytes() == y.tobytes() == emb.embed(offs).tobytes()
+    assert dact.tobytes() == dy.tobytes()

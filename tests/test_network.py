@@ -622,3 +622,12 @@ def test_up0_and_direct1_embed_their_site_once(embedding, monkeypatch):
     out_twice, grads_twice, calls_twice = run()
     assert calls_twice - calls_shared == int(shared)
     assert out == out_twice and grads == grads_twice
+
+
+def test_load_rejects_a_name_that_is_not_utf8(tmp_path):
+    path = _saved_file(tmp_path, {"a": np.ones(2), "bb": np.zeros(3)})
+    data = bytearray(path.read_bytes())
+    data[data.index(b"bb")] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParamFileError, match="tensor table entry 1: name is not UTF-8"):
+        load_params(path)

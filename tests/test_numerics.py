@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pne import numerics
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def test_relu_forward():
@@ -56,21 +60,52 @@ def test_nonfinite_input_rejected():
         numerics.activation_with_derivative(numerics.SIN, np.nan)
 
 
-# each derivative written out on its own, as the reference for the fused one
+# each value and derivative written out on its own, in the operation order
+# the package evaluates it in, as the reference for the in-place and fused ones
+VALUES = {
+    numerics.RELU: lambda x: np.maximum(x, 0.0),
+    numerics.GELU: lambda x: x * (0.5 * (1.0 + erf(x * _INV_SQRT2))),
+    numerics.SIN: np.sin,
+}
 DERIVATIVES = {
     numerics.RELU: lambda x: (x > 0.0).astype(np.float64),
-    numerics.GELU: lambda x: numerics.normal_cdf(x) + x * numerics.normal_pdf(x),
+    numerics.GELU: lambda x: (0.5 * (1.0 + erf(x * _INV_SQRT2))
+                              + x * (_INV_SQRT2PI * np.exp(-0.5 * np.square(x)))),
     numerics.SIN: np.cos,
 }
+SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]
 
 
 @pytest.mark.parametrize("kind", numerics.ACTIVATION_KINDS)
 def test_activation_with_derivative_is_bit_identical(kind):
-    x = np.concatenate([np.random.default_rng(5).uniform(-6.0, 6.0, 2000),
-                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]])
+    x = np.concatenate([np.random.default_rng(5).uniform(-6.0, 6.0, 2000), SPECIAL])
     y, dy = numerics.activation_with_derivative(kind, x)
     assert y.tobytes() == numerics.activation_forward(kind, x).tobytes()
+    assert y.tobytes() == VALUES[kind](x).tobytes()
     assert dy.tobytes() == DERIVATIVES[kind](x).tobytes()
+
+
+@pytest.mark.parametrize("kind", numerics.ACTIVATION_KINDS)
+def test_activation_of_a_scalar_is_a_scalar(kind):
+    """Scalars and 0-d arrays go in, and 0-d values come out, with the bits
+    of the written-out formula."""
+    for v in SPECIAL + [1.0, -2.5]:
+        x = np.float64(v)
+        for arg in (v, np.array(v)):
+            y = numerics.activation_forward(kind, arg)
+            y2, dy = numerics.activation_with_derivative(kind, arg)
+            assert np.ndim(y) == np.ndim(y2) == np.ndim(dy) == 0
+            assert np.float64(y).tobytes() == np.float64(y2).tobytes() == VALUES[kind](x).tobytes()
+            assert np.float64(dy).tobytes() == DERIVATIVES[kind](x).tobytes()
+
+
+def test_activation_does_not_write_its_input():
+    x = np.random.default_rng(6).uniform(-3.0, 3.0, (40, 5))
+    saved = x.copy()
+    for kind in numerics.ACTIVATION_KINDS:
+        numerics.activation_forward(kind, x)
+        numerics.activation_with_derivative(kind, x)
+    assert x.tobytes() == saved.tobytes()
 
 
 def test_finite_diff_identity():
