@@ -36,35 +36,26 @@ def _load_experiment(args):
 
 
 def _seed_list(text):
-    """--seeds: comma-separated integers, at least one, as experiment.seeds."""
+    """--seeds: comma-separated integers >= 0, at least one, as experiment.seeds."""
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError("need at least one seed")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 
-def cmd_grid(args):
-    cfg = _load_experiment(args)
-    csv_path, _ = bench.cmd_grid(cfg, args.out)
-    print(csv_path)
-    return 0
-
-
-def cmd_sigma_sweep(args):
-    cfg = _load_experiment(args)
-    csv_path, _ = bench.cmd_sigma_sweep(cfg, args.out)
-    print(csv_path)
-    return 0
-
-
-def cmd_neigh_stats(args):
-    cfg = _load_experiment(args)
-    csv_path, _ = bench.cmd_neighborhood_stats(cfg, args.out)
-    print(csv_path)
-    return 0
+def _csv_command(run):
+    """Handler of a command that writes a CSV and its JSON sidecar to --out
+    through `run(cfg, out)` and prints the CSV path."""
+    def handler(args):
+        csv_path, _ = run(_load_experiment(args), args.out)
+        print(csv_path)
+        return 0
+    return handler
 
 
 def cmd_gradcheck(args):
@@ -134,9 +125,12 @@ def build_parser():
     run = ("--config", "--out", "--seeds")
     model = ("--embedding", "--neighborhood")
     handlers = {
-        "grid": (cmd_grid, "run the embedding x neighborhood benchmark grid", run),
-        "sigma-sweep": (cmd_sigma_sweep, "accuracy across kernel-width factors", run),
-        "neigh-stats": (cmd_neigh_stats, "receptive-field variance per pyramid level", run),
+        "grid": (_csv_command(bench.cmd_grid),
+                 "run the embedding x neighborhood benchmark grid", run),
+        "sigma-sweep": (_csv_command(bench.cmd_sigma_sweep),
+                        "accuracy across kernel-width factors", run),
+        "neigh-stats": (_csv_command(bench.cmd_neighborhood_stats),
+                        "receptive-field variance per pyramid level", run),
         "gradcheck": (cmd_gradcheck, "verify all analytic gradients", ()),
         "train": (cmd_train, "train one model, save parameters and log", run + model),
         "eval": (cmd_eval, "evaluate saved parameters on the test set",

@@ -168,6 +168,8 @@ def resolve_experiment(sections):
     cfg.seeds = v.get_list("experiment", "seeds", cfg.seeds, convert=int)
     if not cfg.seeds:
         raise ConfigError("need at least one seed", key="experiment.seeds")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(cfg.seeds)}", key="experiment.seeds")
     cfg.embeddings = v.get_list("experiment", "embeddings", cfg.embeddings)
     for e in cfg.embeddings:
         if e not in EMBEDDING_NAMES:
@@ -215,7 +217,7 @@ def resolve_experiment(sections):
     cfg.noise_sigma = v.get_float("data", "noise_sigma", cfg.noise_sigma)
     if not 0.0 <= cfg.noise_sigma < math.inf:
         raise ConfigError("must be finite and >= 0", key="data.noise_sigma")
-    cfg.data_seed = v.get_int("data", "seed", cfg.data_seed)
+    cfg.data_seed = v.get_int("data", "seed", cfg.data_seed, minimum=0)
     cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
     if cfg.task == "segmentation" and cfg.num_scenes < 2:
         # the 80/20 scene split needs one scene on each side

@@ -205,9 +205,6 @@ class MlpEmbedding(Embedding):
     def raw_dim(self):
         return self.weights.shape[0]
 
-    def _omega(self):
-        return SIN_FREQUENCY if self.activation == numerics.SIN else 1.0
-
     def _pre(self, offsets):
         """omega_0 (W p + b), (N, E), formed in place on the matmul's output."""
         pre = offsets @ self.weights.T
@@ -227,7 +224,9 @@ class MlpEmbedding(Embedding):
     def jacobian_offsets(self, offsets):
         offsets = _check_offsets(offsets)
         dact = numerics.activation_with_derivative(self.activation, self._pre(offsets))[1]
-        return (self._omega() * dact)[..., None] * self.weights[None, :, :]
+        if self.activation == numerics.SIN:
+            dact = SIN_FREQUENCY * dact
+        return dact[..., None] * self.weights[None, :, :]
 
     def gradient_params(self, offsets, upstream, derivative):
         offsets = _check_offsets(offsets)
@@ -236,7 +235,9 @@ class MlpEmbedding(Embedding):
             raise ShapeError("upstream must be (N, E)")
         if np.shape(derivative) != upstream.shape:
             raise ShapeError("derivative must be (N, E)")
-        dpre = self._omega() * upstream * derivative
+        if self.activation == numerics.SIN:
+            upstream = SIN_FREQUENCY * upstream                # order pinned: (omega * upstream) * derivative
+        dpre = upstream * derivative
         return {"weights": dpre.T @ offsets, "biases": dpre.sum(axis=0)}
 
     def params(self):

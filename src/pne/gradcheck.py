@@ -5,10 +5,16 @@ Each check is one report row: component name, number of probes, the maximum
 relative error and whether it passed its tolerance. Non-differentiable loci
 (Triangular kinks, ReLU hyperplanes) are excluded per the documented
 convention; Box offset gradients are asserted exactly zero instead.
+
+Probing convention. Each row but the embedding Jacobians (batched in
+`_batched_fd_jacobian`) probes a live array in place through `_fd_gradient`:
+a parameter, the conv features or offsets, the logits. Its `loss()` reads
+the array where the model does, and the array is restored bit for bit, also
+when a probe raises. Network rows concatenate parameters in `params()` order.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +52,21 @@ def _rel_error(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-8)
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
+
+
+def _fd_gradient(loss, array):
+    """Central-difference gradient, shaped like `array`, of the scalar
+    `loss()`, perturbing `array` in place and restoring it in a `finally`."""
+    saved = array.copy()
+
+    def probe(flat):
+        array[...] = flat.reshape(array.shape)
+        return np.array([loss()])
+
+    try:
+        return numerics.finite_diff_jacobian(probe, saved.ravel(), h=H).reshape(array.shape)
+    finally:
+        array[...] = saved
 
 
 def _batched_fd_jacobian(embed_fn, offsets, h=H):
@@ -124,15 +145,8 @@ def check_embedding_params(n_probes=200, seed=1):
         v = rng.standard_normal((len(probes), emb.raw_dim))
         grads = emb.gradient_params(probes, v, emb.embed(probes, with_derivative=True)[1])
         for pname, param in emb.params().items():
-            def loss(flat, pname=pname, param=param):
-                saved = param.copy()
-                param[...] = flat.reshape(param.shape)
-                out = float(np.sum(v * emb.embed(probes)))
-                param[...] = saved
-                return np.array([out])
-
-            fd = numerics.finite_diff_jacobian(loss, param.ravel(), h=H).reshape(param.shape)
-            err = _rel_error(grads[pname], fd)
+            err = _rel_error(grads[pname],
+                             _fd_gradient(lambda: float(np.sum(v * emb.embed(probes))), param))
             rows.append(CheckRow(f"embedding[{name}].{pname}", len(probes), err,
                                  TOL_LOCAL, err < TOL_LOCAL))
     return rows
@@ -164,48 +178,28 @@ def check_conv_gradients(seed=2):
         v = rng.standard_normal(out.shape)
         g = _backward_site(layer, site, v, cache, with_offsets=True)
 
-        def loss_with(param, flat):
-            saved = param.copy()
-            param[...] = flat.reshape(param.shape)
-            val = float(np.sum(v * _forward_site(layer, site, features, keep=False)[0]))
-            param[...] = saved
-            return np.array([val])
+        def loss():
+            return float(np.sum(v * _forward_site(layer, site, features, keep=False)[0]))
 
         checks = [("kernel", layer.kernel, g.d_kernel),
                   ("projection", layer.projection, g.d_projection),
                   ("bias", layer.bias, g.d_bias)]
         for pname, param in layer.embedding.params().items():
             checks.append((f"emb.{pname}", param, g.d_embedding_params[pname]))
+        checks.append(("features", features, g.d_features))
         for pname, param, analytic in checks:
-            fd = numerics.finite_diff_jacobian(
-                lambda flat, p=param: loss_with(p, flat), param.ravel(), h=H
-            ).reshape(param.shape)
-            err = _rel_error(analytic, fd)
+            err = _rel_error(analytic, _fd_gradient(loss, param))
             rows.append(CheckRow(f"{prefix}[{name}].{pname}", param.size, err,
                                  TOL_LOCAL, err < TOL_LOCAL))
-
-        def feat_loss(flat):
-            f = flat.reshape(features.shape)
-            return np.array([float(np.sum(v * _forward_site(layer, site, f, keep=False)[0]))])
-
-        fd = numerics.finite_diff_jacobian(feat_loss, features.ravel(), h=H)
-        err = _rel_error(g.d_features, fd.reshape(features.shape))
-        rows.append(CheckRow(f"{prefix}[{name}].features", features.size, err,
-                             TOL_LOCAL, err < TOL_LOCAL))
 
         if name == "box":
             err = float(np.abs(g.d_offsets).max())
             rows.append(CheckRow(f"{prefix}[{name}].offsets_zero", site.offsets.size, err,
                                  0.0, err == 0.0))
         else:
-            def off_loss(flat):
-                s2 = replace(site, offsets=flat.reshape(site.offsets.shape))
-                out = _forward_site(layer, s2, features, keep=False)[0]
-                return np.array([float(np.sum(v * out))])
-
-            fd = numerics.finite_diff_jacobian(off_loss, site.offsets.ravel(), h=H)
+            fd = _fd_gradient(loss, site.offsets)
             mask = _kink_mask(layer.embedding, site.offsets)
-            err = _rel_error(g.d_offsets[mask], fd.reshape(site.offsets.shape)[mask])
+            err = _rel_error(g.d_offsets[mask], fd[mask])
             rows.append(CheckRow(f"{prefix}[{name}].offsets", int(mask.sum()), err,
                                  TOL_LOCAL, err < TOL_LOCAL))
     return rows
@@ -216,11 +210,7 @@ def check_cross_entropy(seed=3):
     logits = rng.standard_normal((8, 5))
     labels = rng.integers(0, 5, size=8)
     _, d_logits = cross_entropy(logits, labels)
-    fd = numerics.finite_diff_jacobian(
-        lambda flat: np.array([cross_entropy(flat.reshape(logits.shape), labels)[0]]),
-        logits.ravel(), h=H,
-    ).reshape(logits.shape)
-    err = _rel_error(d_logits, fd)
+    err = _rel_error(d_logits, _fd_gradient(lambda: cross_entropy(logits, labels)[0], logits))
     return [CheckRow("loss.cross_entropy", logits.size, err, TOL_LOSS, err < TOL_LOSS)]
 
 
@@ -236,39 +226,25 @@ def _toy_config():
 
 
 def _network_param_check(model, prep, labels, name):
-    params = model.params()
     model.zero_grads()
-    logits = model.forward(prep, training=True)
-    _, d_logits = cross_entropy(logits, labels)
-    model.backward(d_logits)
-    grads = model.grads()
+    model.backward(cross_entropy(model.forward(prep, training=True), labels)[1])
+    params, grads = model.params(), model.grads()
 
-    def loss(flat):
-        pos = 0
-        for p in params.values():
-            p[...] = flat[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
-        out = model.forward(prep, training=False)
-        return np.array([cross_entropy(out, labels)[0]])
+    def loss():
+        return cross_entropy(model.forward(prep, training=False), labels)[0]
 
-    flat0 = np.concatenate([p.ravel() for p in params.values()])
-    fd = numerics.finite_diff_jacobian(loss, flat0, h=H).ravel()
-    loss(flat0)  # restore
+    fd = np.concatenate([_fd_gradient(loss, p).ravel() for p in params.values()])
     analytic = np.concatenate([grads[k].ravel() for k in params])
     err = _rel_error(analytic, fd)
-    return CheckRow(name, flat0.size, err, TOL_NETWORK, err < TOL_NETWORK)
+    return CheckRow(name, fd.size, err, TOL_NETWORK, err < TOL_NETWORK)
 
 
 def check_network_gradients(seed=4):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(40, 3)),
                        labels=rng.integers(0, 3, size=40))
-    rows = []
-
     cls = ClassificationNetwork(_toy_config(), num_classes=3, seed=seed)
-    prep = cls.prepare(cloud)
-    rows.append(_network_param_check(cls, prep, [1], "network[classification].params"))
-
+    rows = [_network_param_check(cls, cls.prepare(cloud), [1], "network[classification].params")]
     seg = SegmentationNetwork(_toy_config(), num_classes=3, seed=seed + 1)
     prep = seg.prepare(cloud)
     rows.append(_network_param_check(seg, prep, prep.clouds[0].labels,

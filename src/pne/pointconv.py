@@ -20,7 +20,7 @@ Query side. The T stored pairs are laid out in a padded (M, Kmax) table of
 support indices, Kmax the largest neighbor count. Row m lists the neighbors
 of query m and its empty slots hold N, the index of a zero shadow row
 appended to the features; `slot` is each pair's flat position in that
-table. Then
+table. The site keeps both as `by_query = (table, slot)`. Then
 
     epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
     fpad  = [f; 0][table]              (M, Kmax, I)
@@ -55,8 +55,8 @@ when the embedding has learnable parameters or offset gradients are
 requested: (fpad @ dz^T) at the pair slots on the query side. On the
 support side d_e[t, r] = H[y_t, r] . (norm * upstream)[q_t] is one batched
 matmul over the support points, on the (N, Ks) table that lists the queries
-of each support point's pairs (`support_table`, `support_slot`), so no
-(T, E_raw, O) gather of H is formed.
+of each support point's pairs (`by_support`, again a (table, slot) pair),
+so no (T, E_raw, O) gather of H is formed.
 
 What backward reuses. A forward that keeps its cache (`keep=True`) returns
 the embedded pairs (epad or S), the norm weights, what its side's backward
@@ -97,36 +97,20 @@ class ConvSite:
     num_support: int
 
     @cached_property
-    def _by_query(self):
+    def by_query(self):
+        """(table, slot): the (M, Kmax) support index of each slot, num_support
+        if empty, and the (T,) flat position of each pair in that table."""
         return _grouped(self.neighbors.query_ids(), len(self.counts),
                         self.neighbors.indices, self.num_support)
 
     @cached_property
-    def slot(self):
-        """(T,) flat position of each pair in `table`."""
-        return self._by_query[1]
-
-    @cached_property
-    def table(self):
-        """(M, Kmax) support index per slot; num_support if empty."""
-        return self._by_query[0]
-
-    @cached_property
-    def _by_support(self):
+    def by_support(self):
+        """(table, slot): the (N, Ks) query index of each slot, Ks the most
+        pairs on one support point, M if empty, and the (T,) flat position of
+        each pair in that table. Row n lists, in pair order, the queries of
+        the pairs on support point n."""
         return _grouped(self.neighbors.indices, self.num_support,
                         self.neighbors.query_ids(), len(self.counts))
-
-    @cached_property
-    def support_slot(self):
-        """(T,) flat position of each pair in `support_table`."""
-        return self._by_support[1]
-
-    @cached_property
-    def support_table(self):
-        """(N, Ks) query index per slot, Ks the most pairs on one support
-        point; M if empty. Row n lists, in pair order, the queries of the
-        pairs on support point n."""
-        return self._by_support[0]
 
     @cached_property
     def from_pairs(self):
@@ -258,10 +242,10 @@ def _embedded_pairs(layer, site, keep):
         pairs = sparse.csr_matrix((e.ravel(), cols, site.neighbors.offsets.astype(itype) * r),
                                   shape=(m, site.num_support * r))
     else:
-        kmax = site.table.shape[1]
-        pairs = np.zeros((m * kmax, r))
-        pairs[site.slot] = e
-        pairs = pairs.reshape(m, kmax, r)
+        table, slot = site.by_query
+        pairs = np.zeros((m * table.shape[1], r))
+        pairs[slot] = e
+        pairs = pairs.reshape(m, table.shape[1], r)
     return pairs, dact
 
 
@@ -270,7 +254,7 @@ def _padded_forward(site, features, epad, k_eff):
     backward reads."""
     m, _, r = epad.shape
     i = features.shape[1]
-    fpad = np.take(np.concatenate((features, np.zeros((1, i)))), site.table, axis=0)
+    fpad = np.take(np.concatenate((features, np.zeros((1, i)))), site.by_query[0], axis=0)
     zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)   # (M, E_raw*I)
     return zq @ k_eff, (epad, fpad, zq, k_eff)
 
@@ -315,12 +299,13 @@ def _padded_backward(site, uq, kept, with_pairs):
     epad, fpad, zq, k_eff = kept
     m, _, r = epad.shape
     i = fpad.shape[2]
+    slot = site.by_query[1]
     d_keff = (zq.T @ uq).reshape(r, i * uq.shape[1])           # (E_raw, I*O)
     dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
-    d_features = site.from_pairs @ _at_pairs(np.matmul(epad, dz), site.slot)
+    d_features = site.from_pairs @ _at_pairs(np.matmul(epad, dz), slot)
     d_e = None
     if with_pairs:
-        d_e = _at_pairs(np.matmul(fpad, dz.transpose(0, 2, 1)), site.slot)   # (T, E_raw)
+        d_e = _at_pairs(np.matmul(fpad, dz.transpose(0, 2, 1)), slot)   # (T, E_raw)
     return d_features, d_keff, d_e
 
 
@@ -336,9 +321,10 @@ def _support_backward(site, uq, kept, with_pairs):
     d_e = None
     if with_pairs:
         # d_e[t, r] = H[y_t, r] . uq[q_t], one batched matmul over support points
-        uqpad = np.take(np.concatenate((uq, np.zeros((1, o)))), site.support_table, axis=0)
+        table, slot = site.by_support
+        uqpad = np.take(np.concatenate((uq, np.zeros((1, o)))), table, axis=0)
         g = np.matmul(uqpad, h.reshape(n, r, o).transpose(0, 2, 1))      # (N, Ks, E_raw)
-        d_e = _at_pairs(g, site.support_slot)
+        d_e = _at_pairs(g, slot)
     return d_features, d_keff, d_e
 
 

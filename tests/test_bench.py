@@ -206,6 +206,29 @@ def test_cli_train_rejects_one_segmentation_scene(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("train", "[data]\nseed = -1\n", "data.seed"),
+    ("neigh-stats", "[data]\nseed = -1\n", "data.seed"),
+    ("train", "[experiment]\nseeds = -1\n", "experiment.seeds"),
+    ("grid", "[experiment]\nseeds = 0, -2\n", "experiment.seeds"),
+])
+def test_cli_rejects_negative_seeds_in_config(command, text, key, tmp_path, monkeypatch, capsys):
+    """A negative seed is a config error (exit 2) naming its key, before any
+    dataset is built."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("datasets built")
+
+    monkeypatch.setattr(bench, "build_datasets", no_data)
+    monkeypatch.setattr(bench, "make_classification_dataset", no_data)
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text(text)
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_gradcheck_exit_codes(monkeypatch, capsys):
     from pne.gradcheck import CheckRow
 
@@ -331,13 +354,21 @@ def test_cli_rejects_unknown_model_names(flag, value, capsys):
     (["grid", "--seeds", "x"], "not a list of integers: 'x'"),
     (["train", "--seeds", ","], "need at least one seed"),
     (["grid", "--seeds", ","], "need at least one seed"),
+    (["grid", "--seeds=-2"], "seeds must be >= 0, got -2"),
+    (["train", "--seeds", "0,-1"], "seeds must be >= 0, got -1"),
+    (["sigma-sweep", "--seeds=3,-4"], "seeds must be >= 0, got -4"),
 ])
-def test_cli_rejects_bad_seed_lists(argv, why, tmp_path, capsys):
+def test_cli_rejects_bad_seed_lists(argv, why, tmp_path, monkeypatch, capsys):
     """A --seeds value that experiment.seeds would reject is a usage error
     naming the flag, before anything runs or is written."""
+    def no_data(cfg):
+        raise AssertionError("datasets built")
+
+    monkeypatch.setattr(bench, "build_datasets", no_data)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv + ["--out", str(out)])
     assert exit_info.value.code == 2
     assert f"argument --seeds: {why}" in capsys.readouterr().err
     assert not out.exists()
+

@@ -112,6 +112,7 @@ def test_resolve_overrides():
 @pytest.mark.parametrize("text,key", [
     ("[experiment]\ntask = regression\n", "experiment.task"),
     ("[experiment]\nseeds =\n", "experiment.seeds"),
+    ("[experiment]\nseeds = 0, -1\n", "experiment.seeds"),
     ("[experiment]\nembeddings = kp:cubic\n", "experiment.embeddings"),
     ("[experiment]\nneighborhoods = radius\n", "experiment.neighborhoods"),
     ("[network]\nwidths = 4\nblocks = 1, 1\n", "network.blocks"),
@@ -141,6 +142,7 @@ def test_resolve_overrides():
     ("[data]\ntrain_per_class = 0\n", "data.train_per_class"),
     ("[data]\ntest_per_class = 0\n", "data.test_per_class"),
     ("[data]\nnum_scenes = 0\n", "data.num_scenes"),
+    ("[data]\nseed = -1\n", "data.seed"),
     ("[experiment]\ntask = segmentation\n[data]\nnum_scenes = 1\n", "data.num_scenes"),
     ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
     ("[data]\nnoise_sigma = nan\n", "data.noise_sigma"),

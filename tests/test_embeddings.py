@@ -211,6 +211,29 @@ def test_mlp_embed_with_derivative_feeds_gradient_params(act):
         emb.gradient_params(offs, up, dact[:1])
 
 
+@pytest.mark.parametrize("act", numerics.ACTIVATION_KINDS)
+def test_mlp_backward_equals_written_out_formula(act):
+    """gradient_params and jacobian_offsets equal, byte for byte, the formula
+    written out: omega_0 scales sin only, as (omega_0 * upstream) * act'(pre)
+    and omega_0 * act'(pre); relu and gelu take no scaling pass."""
+    emb = init_mlp_embedding(5, 1.0, act, seed=14)
+    emb.biases[:] = np.random.default_rng(15).uniform(-0.3, 0.3, size=5)
+    rng = np.random.default_rng(16)
+    offs = rng.uniform(-1, 1, size=(40, 3))
+    up = rng.standard_normal((40, 5))
+    sin = act == numerics.SIN
+    pre = offs @ emb.weights.T + emb.biases
+    if sin:
+        pre = pre * SIN_FREQUENCY
+    dact = numerics.activation_with_derivative(act, pre)[1]
+    dpre = (SIN_FREQUENCY * up) * dact if sin else up * dact
+    jac = (SIN_FREQUENCY * dact if sin else dact)[..., None] * emb.weights[None, :, :]
+    g = emb.gradient_params(offs, up, emb.embed(offs, with_derivative=True)[1])
+    assert g["weights"].tobytes() == (dpre.T @ offs).tobytes()
+    assert g["biases"].tobytes() == dpre.sum(axis=0).tobytes()
+    assert emb.jacobian_offsets(offs).tobytes() == jac.tobytes()
+
+
 def test_continuity_and_box_jumps():
     rng = np.random.default_rng(10)
     offs = rng.uniform(-1, 1, size=(500, 3))

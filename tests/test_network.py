@@ -576,7 +576,7 @@ def test_decoder_sites_contract_from_the_support_side(neighborhood, monkeypatch)
     assert names("_support_forward") == names("_support_backward") == support
     assert names("_padded_forward") == names("_padded_backward") == set(prep.sites) - support
     for name in support:
-        assert not {"table", "slot", "from_pairs"} & set(vars(prep.sites[name])), name
+        assert not {"by_query", "from_pairs"} & set(vars(prep.sites[name])), name
 
 
 @pytest.mark.parametrize("embedding", ["kp:gaussian", "none", "mlp:gelu"])

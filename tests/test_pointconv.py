@@ -53,7 +53,7 @@ def test_duplicate_neighbor_under_mean_unchanged():
     layer, query, support, nl, features = single_neighbor_setup()
     out1 = conv_forward(layer, query, support, nl, features)
     nl2 = NeighborList(np.array([0, 2]), np.array([0, 0]))
-    assert np.array_equal(make_site(query, support, nl2).table, [[0, 0]])
+    assert np.array_equal(make_site(query, support, nl2).by_query[0], [[0, 0]])
     out2 = conv_forward(layer, query, support, nl2, features)
     assert np.allclose(out1, out2)
     up = np.array([[3.0]])
@@ -72,7 +72,7 @@ def test_empty_neighborhood_outputs_bias():
     out = conv_forward(layer, query, support, nl, features)
     assert out[0, 0] == pytest.approx(7.0)
     # every query empty: the padded table has no columns (Kmax = 0)
-    assert make_site(query, support, nl).table.shape == (1, 0)
+    assert make_site(query, support, nl).by_query[0].shape == (1, 0)
     up = np.array([[3.0]])
     g = conv_backward(layer, query, support, nl, features, up, with_offsets=True)
     assert np.array_equal(g.d_features, np.zeros_like(features))
@@ -246,19 +246,21 @@ def test_make_site_padded_table():
     counts = nl.counts
     assert counts.min() == 0 and len(np.unique(counts)) >= 4
     site = make_site(query, support, nl)
-    assert site.table.shape == (len(query), counts.max())
+    table, slot = site.by_query
+    assert table.shape == (len(query), counts.max())
     for m in range(len(query)):
-        assert np.array_equal(site.table[m, :counts[m]], nl.neighbors(m))
-        assert np.all(site.table[m, counts[m]:] == len(support))
-    assert np.array_equal(site.table.ravel()[site.slot], nl.indices)
+        assert np.array_equal(table[m, :counts[m]], nl.neighbors(m))
+        assert np.all(table[m, counts[m]:] == len(support))
+    assert np.array_equal(table.ravel()[slot], nl.indices)
     qid = nl.query_ids()
     on_support = np.bincount(nl.indices, minlength=len(support))
     assert on_support.min() == 0 and len(np.unique(on_support)) >= 4
-    assert site.support_table.shape == (len(support), on_support.max())
+    table, slot = site.by_support
+    assert table.shape == (len(support), on_support.max())
     for n in range(len(support)):
-        assert np.array_equal(site.support_table[n, :on_support[n]], qid[nl.indices == n])
-        assert np.all(site.support_table[n, on_support[n]:] == len(query))
-    assert np.array_equal(site.support_table.ravel()[site.support_slot], qid)
+        assert np.array_equal(table[n, :on_support[n]], qid[nl.indices == n])
+        assert np.all(table[n, on_support[n]:] == len(query))
+    assert np.array_equal(table.ravel()[slot], qid)
 
 
 @pytest.mark.parametrize("offsets, indices, message", [
@@ -394,7 +396,7 @@ def test_unreferenced_support_gets_zero_feature_gradient(name):
     support = PointCloud(np.vstack([support.positions, [[30.0, 0.0, 0.0]]]))
     features = np.vstack([features, np.full((1, features.shape[1]), 5.0)])
     site = make_site(query, support, nl)
-    assert site.table.size > len(nl.indices)                   # padded slots exist
+    assert site.by_query[0].size > len(nl.indices)             # padded slots exist
     out, cache = _forward_site(layer, site, features)
     up = np.random.default_rng(17).standard_normal(out.shape)
     g = _backward_site(layer, site, up, cache, with_offsets=True)
@@ -504,10 +506,10 @@ def test_support_side_matches_padded_path(name, neighborhood, monkeypatch):
         return out, _backward_site(layer, site, up, cache, with_offsets=True)
 
     out, g = run()
-    assert "table" not in vars(site) and "slot" not in vars(site)
+    assert "by_query" not in vars(site)
     monkeypatch.setattr(pointconv, "_support_side", lambda s: False)
     ref_out, ref = run()
-    assert "table" in vars(site)
+    assert "by_query" in vars(site)
 
     def close(a, b):
         return np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
