@@ -28,7 +28,7 @@ from .embeddings import (
 )
 from .geometry import PointCloud, ball_query
 from .network import ClassificationNetwork, EmbeddingSpec, EncoderConfig, NeighborhoodSpec, SegmentationNetwork
-from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
+from .pointconv import _backward_site, _forward_site, _split_keff, init_conv_layer, make_site
 from .training import cross_entropy
 
 H = 1e-5
@@ -181,8 +181,9 @@ def check_conv_gradients(seed=2):
         def loss():
             return float(np.sum(v * _forward_site(layer, site, features, keep=False)[0]))
 
-        checks = [("kernel", layer.kernel, g.d_kernel),
-                  ("projection", layer.projection, g.d_projection),
+        d_kernel, d_projection = _split_keff(layer, g.d_keff)
+        checks = [("kernel", layer.kernel, d_kernel),
+                  ("projection", layer.projection, d_projection),
                   ("bias", layer.bias, g.d_bias)]
         for pname, param in layer.embedding.params().items():
             checks.append((f"emb.{pname}", param, g.d_embedding_params[pname]))
@@ -225,13 +226,19 @@ def _toy_config():
     )
 
 
-def _network_param_check(model, prep, labels, name):
+def _network_param_check(model, batch, name):
+    """Parameter gradients of the mean loss over `batch`, a list of (prep,
+    labels), accumulated over one backward per cloud as a training step
+    does, against central differences of that mean."""
     model.zero_grads()
-    model.backward(cross_entropy(model.forward(prep, training=True), labels)[1])
+    for prep, labels in batch:
+        d_logits = cross_entropy(model.forward(prep, training=True), labels)[1]
+        model.backward(d_logits / len(batch))
     params, grads = model.params(), model.grads()
 
     def loss():
-        return cross_entropy(model.forward(prep, training=False), labels)[0]
+        return sum(cross_entropy(model.forward(prep, training=False), labels)[0] / len(batch)
+                   for prep, labels in batch)
 
     fd = np.concatenate([_fd_gradient(loss, p).ravel() for p in params.values()])
     analytic = np.concatenate([grads[k].ravel() for k in params])
@@ -244,11 +251,18 @@ def check_network_gradients(seed=4):
     cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(40, 3)),
                        labels=rng.integers(0, 3, size=40))
     cls = ClassificationNetwork(_toy_config(), num_classes=3, seed=seed)
-    rows = [_network_param_check(cls, cls.prepare(cloud), [1], "network[classification].params")]
+    rows = [_network_param_check(cls, [(cls.prepare(cloud), [1])],
+                                 "network[classification].params")]
     seg = SegmentationNetwork(_toy_config(), num_classes=3, seed=seed + 1)
     prep = seg.prepare(cloud)
-    rows.append(_network_param_check(seg, prep, prep.clouds[0].labels,
+    rows.append(_network_param_check(seg, [(prep, prep.clouds[0].labels)],
                                      "network[segmentation].params"))
+    # two clouds of different sizes: the conv gradients settle from a sum
+    # over two backwards, as in a training step
+    rng = np.random.default_rng(seed + 1)
+    batch = [(cls.prepare(PointCloud(rng.uniform(-1.0, 1.0, size=(n, 3)))), [n % 3])
+             for n in (20, 32)]
+    rows.append(_network_param_check(cls, batch, "network[classification,batch].params"))
     return rows
 
 

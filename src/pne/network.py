@@ -19,6 +19,19 @@ is part of it too: `save_params` writes tensors in that order,
 `clip_grad_norm` sums squared norms in it and `gradcheck` flattens
 parameters in it. That is why `children()` lists submodules explicitly
 rather than in the order the constructor builds them.
+
+Conv gradients settle at the walk. A conv's backward adds its K_eff-space
+gradient d_K_eff into a pending sum, one array add per cloud. The walk
+splits each pending sum through P and kappa into the kernel and projection
+gradients (`pointconv._split_keff`), once per optimizer step rather than
+once per cloud, before it yields that conv's tensors: `params()` and
+`grads()` settle, and `zero_grads()` drops a pending sum without splitting
+it. A second walk finds nothing pending, and a backward after a walk goes
+into the next one. The arrays `params()` and `grads()` return are the same
+live objects throughout. Because P and kappa are read when the sum settles,
+no parameter may be written between a backward and the walk that settles
+it: the training loop, the gradient check and the benchmark call `grads()`
+before they write.
 """
 
 import math
@@ -40,7 +53,7 @@ from .embeddings import (
 )
 from .errors import DegenerateInputError, MissingCacheError, ParamFileError, ShapeError
 from .geometry import PointCloud, ball_query, cell_average_subsample, knn
-from .pointconv import _backward_site, _forward_site, init_conv_layer, make_site
+from .pointconv import _backward_site, _forward_site, _split_keff, init_conv_layer, make_site
 
 
 class Module:
@@ -65,11 +78,16 @@ class Module:
         """This module's (name, submodule) pairs, in file order."""
         return ()
 
-    def _walk(self, prefix=""):
+    def _settle(self, keep):
+        """Fold gradients a backward left pending into this module's grad
+        arrays (`keep`), or drop them."""
+
+    def _walk(self, prefix="", keep=True):
+        self._settle(keep)
         for name, param, grad in self.tensors():
             yield prefix + name, param, grad
         for name, child in self.children():
-            yield from child._walk(f"{prefix}{name}.")
+            yield from child._walk(f"{prefix}{name}.", keep)
 
     def params(self):
         return {name: p for name, p, _ in self._walk()}
@@ -78,7 +96,7 @@ class Module:
         return {name: g for name, _, g in self._walk()}
 
     def zero_grads(self):
-        for _, _, g in self._walk():
+        for _, _, g in self._walk(keep=False):
             g[...] = 0.0
 
 
@@ -155,9 +173,11 @@ class ConvModule(Module):
     """A ConvLayer bound to a named geometry site of the prepared sample.
     `memo`, which an owner sets for the span of its own forward, is the
     dict through which convs sharing a site and an embedding object embed
-    the site's pairs once."""
+    the site's pairs once. `_pending` is the summed d_K_eff of the backwards
+    since the last walk, None when there were none."""
 
     memo = None
+    _pending = None
 
     def __init__(self, layer, site_name):
         self.layer = layer
@@ -176,12 +196,21 @@ class ConvModule(Module):
     def backward(self, up):
         site, cache = self._take_cache()
         g = _backward_site(self.layer, site, up, cache)
-        self.g_kernel += g.d_kernel
-        self.g_projection += g.d_projection
+        if self._pending is None:
+            self._pending = g.d_keff           # a fresh array, owned from here
+        else:
+            self._pending += g.d_keff
         self.g_bias += g.d_bias
         for k, v in g.d_embedding_params.items():
             self.g_embedding[k] += v
         return g.d_features
+
+    def _settle(self, keep):
+        pending, self._pending = self._pending, None
+        if keep and pending is not None:
+            d_kernel, d_projection = _split_keff(self.layer, pending)
+            self.g_kernel += d_kernel
+            self.g_projection += d_projection
 
     def tensors(self):
         yield "kernel", self.layer.kernel, self.g_kernel

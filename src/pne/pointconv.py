@@ -20,7 +20,11 @@ Query side. The T stored pairs are laid out in a padded (M, Kmax) table of
 support indices, Kmax the largest neighbor count. Row m lists the neighbors
 of query m and its empty slots hold N, the index of a zero shadow row
 appended to the features; `slot` is each pair's flat position in that
-table. The site keeps both as `by_query = (table, slot)`. Then
+table. The site keeps both as `by_query = (table, slot)`. When every query
+has the same count k > 0 (every kNN site, and any ball query that happens
+to), the stored pairs already are that table in order: `table` is the
+indices as (M, k), `slot` is None, epad is e reshaped and a per-pair row is
+a reshape of the padded array. Then
 
     epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
     fpad  = [f; 0][table]              (M, Kmax, I)
@@ -46,17 +50,29 @@ product; no padded table is built. Backward: dH = S^T @ (norm * upstream),
 d_features = dH @ K_t^T and d_K_eff from f^T @ dH.
 
 `embed` may return a transposed view rather than a C-contiguous (T, E_raw)
-array (the kernel-point embeddings do): the scatter into epad and the
-`e.ravel()` that fills S read it through its strides.
+array (the kernel-point embeddings do): the scatter into epad, the C-order
+copy that makes a dense epad and the `e.ravel()` that fills S read it
+through its strides.
 
-On either side d_K_eff splits into d_kernel and d_projection through P and
-kappa, and the per-pair embedding gradient d_e (T, E_raw) is formed only
-when the embedding has learnable parameters or offset gradients are
-requested: (fpad @ dz^T) at the pair slots on the query side. On the
-support side d_e[t, r] = H[y_t, r] . (norm * upstream)[q_t] is one batched
-matmul over the support points, on the (N, Ks) table that lists the queries
-of each support point's pairs (`by_support`, again a (table, slot) pair),
-so no (T, E_raw, O) gather of H is formed.
+The backward returns d_K_eff (E_raw, I * O) and stops there: `_split_keff`
+turns it into d_kernel and d_projection through P and kappa, two GEMMs that
+read only parameters. `conv_backward` splits each call's d_K_eff; a network
+conv sums the d_K_eff of every backward of an optimizer step and splits the
+sum once, when its gradients are next read (see `network`). The forward
+still forms K_eff on every call. A memo keyed by identity would be unsound:
+the optimizer, `pne eval`, the gradient check and the benchmark's reset all
+write the parameters in place through the `params()` arrays, and nothing
+sees those writes. A memo keyed by value must compare every entry of P and
+kappa on every forward, which costs about a third of forming K_eff (see
+ROADMAP, "Not planned").
+
+The per-pair embedding gradient d_e (T, E_raw) is formed only when the
+embedding has learnable parameters or offset gradients are requested:
+(fpad @ dz^T) at the pair slots on the query side. On the support side
+d_e[t, r] = H[y_t, r] . (norm * upstream)[q_t] is one batched matmul over
+the support points, on the (N, Ks) table that lists the queries of each
+support point's pairs (`by_support`, again a (table, slot) pair), so no
+(T, E_raw, O) gather of H is formed.
 
 What backward reuses. A forward that keeps its cache (`keep=True`) returns
 the embedded pairs (epad or S), the norm weights, what its side's backward
@@ -99,9 +115,14 @@ class ConvSite:
     @cached_property
     def by_query(self):
         """(table, slot): the (M, Kmax) support index of each slot, num_support
-        if empty, and the (T,) flat position of each pair in that table."""
-        return _grouped(self.neighbors.query_ids(), len(self.counts),
-                        self.neighbors.indices, self.num_support)
+        if empty, and the (T,) flat position of each pair in that table. When
+        every query has the same count k > 0 the pairs are the table in
+        order: the table is a view of the indices as (M, k) and slot is
+        None."""
+        m, counts = len(self.counts), self.counts
+        if m and counts.min() == counts.max() > 0:
+            return self.neighbors.indices.reshape(m, -1), None
+        return _grouped(self.neighbors.query_ids(), m, self.neighbors.indices, self.num_support)
 
     @cached_property
     def by_support(self):
@@ -193,11 +214,12 @@ class ConvLayer:
 @dataclass
 class ConvGradients:
     d_features: np.ndarray
-    d_kernel: np.ndarray
-    d_projection: np.ndarray
+    d_keff: np.ndarray           # (E_raw, I*O); `_split_keff` gives d_kernel, d_projection
     d_embedding_params: dict
     d_bias: np.ndarray
     d_offsets: Optional[np.ndarray] = None
+    d_kernel: Optional[np.ndarray] = None       # filled in by conv_backward
+    d_projection: Optional[np.ndarray] = None
 
 
 def _norm_weights(counts):
@@ -207,8 +229,10 @@ def _norm_weights(counts):
 
 
 def _at_pairs(padded, slot):
-    """The (T, X) rows of an (R, K, X) padded array at the pair slots."""
-    return np.take(padded.reshape(-1, padded.shape[2]), slot, axis=0)
+    """The (T, X) rows of an (R, K, X) padded array at the pair slots; every
+    row, in order, when slot is None."""
+    rows = padded.reshape(-1, padded.shape[2])
+    return rows if slot is None else np.take(rows, slot, axis=0)
 
 
 def _support_side(site):
@@ -222,6 +246,14 @@ def _effective_kernel(layer):
     i, o, ec = layer.kernel.shape
     k = layer.kernel.reshape(i * o, ec).T                      # (E_c, I*O)
     return (layer.projection @ k).reshape(-1, o)               # (E_raw*I, O)
+
+
+def _split_keff(layer, d_keff):
+    """(d_kernel, d_projection) from d_K_eff (E_raw, I*O), through P and
+    kappa: d_kernel = (P^T d_K_eff)^T, d_projection = d_K_eff kappa."""
+    i, o, ec = layer.kernel.shape
+    d_kernel = (layer.projection.T @ d_keff).T.reshape(i, o, ec)
+    return d_kernel, d_keff @ layer.kernel.reshape(i * o, ec)
 
 
 def _embedded_pairs(layer, site, keep):
@@ -243,9 +275,14 @@ def _embedded_pairs(layer, site, keep):
                                   shape=(m, site.num_support * r))
     else:
         table, slot = site.by_query
-        pairs = np.zeros((m * table.shape[1], r))
-        pairs[slot] = e
-        pairs = pairs.reshape(m, table.shape[1], r)
+        if slot is None:
+            # C order as the scatter leaves it; a strided view of a transposed
+            # e would take another matmul kernel, with other rounding
+            pairs = np.ascontiguousarray(e).reshape(m, table.shape[1], r)
+        else:
+            pairs = np.zeros((m * table.shape[1], r))
+            pairs[slot] = e
+            pairs = pairs.reshape(m, table.shape[1], r)
     return pairs, dact
 
 
@@ -254,7 +291,10 @@ def _padded_forward(site, features, epad, k_eff):
     backward reads."""
     m, _, r = epad.shape
     i = features.shape[1]
-    fpad = np.take(np.concatenate((features, np.zeros((1, i)))), site.by_query[0], axis=0)
+    table, slot = site.by_query
+    if slot is not None:    # empty slots read a zero shadow row
+        features = np.concatenate((features, np.zeros((1, i))))
+    fpad = np.take(features, table, axis=0)
     zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)   # (M, E_raw*I)
     return zq @ k_eff, (epad, fpad, zq, k_eff)
 
@@ -329,19 +369,16 @@ def _support_backward(site, uq, kept, with_pairs):
 
 
 def _backward_site(layer, site, upstream, cache, with_offsets=False):
-    """Gradients from the cache of `_forward_site(layer, site, features)`."""
+    """Gradients from the cache of `_forward_site(layer, site, features)`,
+    those of kernel and projection as d_K_eff, unsplit."""
     dact, w, kept = cache
     m = len(site.counts)
     if upstream.shape != (m, layer.out_features):
         raise ShapeError(f"upstream must be ({m}, {layer.out_features})")
-    i, o, ec = layer.kernel.shape
     uq = upstream * w[:, None]                                 # (M, O)
     with_pairs = bool(layer.embedding.params()) or with_offsets
     contract = _support_backward if _support_side(site) else _padded_backward
     d_features, d_keff, d_e = contract(site, uq, kept, with_pairs)
-    k = layer.kernel.reshape(i * o, ec)
-    d_kernel = (layer.projection.T @ d_keff).T.reshape(i, o, ec)
-    d_projection = d_keff @ k
     d_bias = upstream.sum(axis=0)
     d_emb = {}
     d_offsets = None
@@ -352,8 +389,7 @@ def _backward_site(layer, site, upstream, cache, with_offsets=False):
             d_offsets = np.einsum("te,tec->tc", d_e, jac)
     return ConvGradients(
         d_features=d_features,
-        d_kernel=d_kernel,
-        d_projection=d_projection,
+        d_keff=d_keff,
         d_embedding_params=d_emb,
         d_bias=d_bias,
         d_offsets=d_offsets,
@@ -376,7 +412,9 @@ def conv_backward(layer, query, support, neighbors, features, upstream, with_off
     upstream = np.asarray(upstream, dtype=np.float64)
     site = make_site(query, support, neighbors)
     _, cache = _forward_site(layer, site, features)
-    return _backward_site(layer, site, upstream, cache, with_offsets=with_offsets)
+    g = _backward_site(layer, site, upstream, cache, with_offsets=with_offsets)
+    g.d_kernel, g.d_projection = _split_keff(layer, g.d_keff)
+    return g
 
 
 def _truncated_normal(rng, std, size, clip=2.0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import pne.network as pne_network
 from pne import geometry, numerics, pointconv
 from pne.embeddings import icosahedron_kernel_points, icosahedron_shell_spacing
 from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
@@ -315,7 +316,8 @@ def test_params_and_grads_aligned():
         assert all(a is b for a, b in zip(net.params().values(), params.values()))
         prep = net.prepare(cloud)
         net.backward(np.ones_like(net.forward(prep, training=True)))
-        assert all(np.any(g != 0.0) for g in grads.values())
+        # conv gradients settle at the walk, so read them through one
+        assert all(np.any(g != 0.0) for g in net.grads().values())
         net.zero_grads()
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -324,6 +326,108 @@ def _modules(module):
     yield module
     for _, child in module.children():
         yield from _modules(child)
+
+
+SETTLE_CASES = [(network, emb) for network, _ in NETWORKS for emb in ("kp:gaussian", "mlp:gelu")]
+
+
+def settle_setup(network, embedding, monkeypatch):
+    """A small network, three prepared clouds of different sizes, its convs,
+    and the d_K_eff each conv's backward returned, by id of the conv's
+    layer, copied as it was returned."""
+    net = network(make_config(embedding=EmbeddingSpec(embedding, mlp_dim=4)), num_classes=3, seed=31)
+    preps = [net.prepare(random_cloud(40 + 10 * i, seed=32 + i)) for i in range(3)]
+    seen = {}
+    original = pne_network._backward_site
+
+    def spy(layer, site, upstream, cache, **kwargs):
+        g = original(layer, site, upstream, cache, **kwargs)
+        seen.setdefault(id(layer), []).append(g.d_keff.copy())
+        return g
+
+    monkeypatch.setattr(pne_network, "_backward_site", spy)
+    convs = [m for m in _modules(net) if isinstance(m, ConvModule)]
+    return net, preps, convs, seen
+
+
+def backward_on(net, prep, seed, scale=1.0):
+    logits = net.forward(prep, training=True)
+    net.backward(np.random.default_rng(seed).standard_normal(logits.shape) * scale)
+
+
+def snapshot(arrays):
+    return {k: v.tobytes() for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("network,embedding", SETTLE_CASES)
+def test_one_backward_settles_at_the_next_walk(network, embedding, monkeypatch):
+    """After one backward, the first walk, even one through `params()`,
+    splits each conv's d_K_eff: its kernel and projection gradients are
+    `_split_keff` of what that conv's `_backward_site` returned, byte for
+    byte. A second walk changes nothing, and the walks return the same live
+    arrays as before the backward."""
+    net, preps, convs, seen = settle_setup(network, embedding, monkeypatch)
+    params, grads = net.params(), net.grads()
+    backward_on(net, preps[0], seed=33)
+    assert all(conv._pending is not None for conv in convs)
+    assert all(a is b for a, b in zip(net.params().values(), params.values()))
+    for conv in convs:
+        (d_keff,) = seen[id(conv.layer)]
+        d_kernel, d_projection = pointconv._split_keff(conv.layer, d_keff)
+        assert conv._pending is None
+        assert conv.g_kernel.tobytes() == d_kernel.tobytes()
+        assert conv.g_projection.tobytes() == d_projection.tobytes()
+    before = snapshot(grads)
+    assert all(a is b for a, b in zip(net.grads().values(), grads.values()))
+    assert snapshot(grads) == before
+
+
+@pytest.mark.parametrize("network,embedding", SETTLE_CASES)
+def test_a_step_splits_the_summed_keff_gradient_once(network, embedding, monkeypatch):
+    """Over three backwards, as in a training step, each conv's kernel and
+    projection gradients are the split of the summed d_K_eff, byte for
+    byte, and lie within 1e-13 relative of the sum of per-cloud splits. A
+    second `grads()` leaves every byte as it was."""
+    net, preps, convs, seen = settle_setup(network, embedding, monkeypatch)
+    net.zero_grads()
+    params, grads = net.params(), net.grads()
+    for i, prep in enumerate(preps):
+        backward_on(net, prep, seed=34 + i, scale=1.0 / len(preps))
+    assert all(a is b for a, b in zip(net.grads().values(), grads.values()))
+    assert all(a is b for a, b in zip(net.params().values(), params.values()))
+    for conv in convs:
+        d_keffs = seen[id(conv.layer)]
+        assert len(d_keffs) == 3
+        d_kernel, d_projection = pointconv._split_keff(conv.layer, d_keffs[0] + d_keffs[1] + d_keffs[2])
+        assert conv.g_kernel.tobytes() == d_kernel.tobytes()
+        assert conv.g_projection.tobytes() == d_projection.tobytes()
+        splits = [pointconv._split_keff(conv.layer, d) for d in d_keffs]
+        for got, part in ((conv.g_kernel, 0), (conv.g_projection, 1)):
+            ref = splits[0][part] + splits[1][part] + splits[2][part]
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    before = snapshot(grads)
+    net.grads()
+    assert snapshot(grads) == before
+
+
+@pytest.mark.parametrize("network,embedding", SETTLE_CASES)
+def test_zero_grads_drops_a_pending_sum(network, embedding, monkeypatch):
+    """`zero_grads()` drops a pending d_K_eff without splitting it: every
+    gradient reads zero, and the next step's gradients equal, byte for
+    byte, those of a fresh model taking the same step."""
+    net, preps, convs, _ = settle_setup(network, embedding, monkeypatch)
+    backward_on(net, preps[1], seed=37)
+    splits = []
+    original = pne_network._split_keff
+    monkeypatch.setattr(pne_network, "_split_keff", lambda *a: splits.append(a) or original(*a))
+    net.zero_grads()
+    assert splits == []
+    assert all(conv._pending is None for conv in convs)
+    assert all(np.all(g == 0.0) for g in net.grads().values())
+    backward_on(net, preps[0], seed=38)
+    fresh = network(make_config(embedding=EmbeddingSpec(embedding, mlp_dim=4)), num_classes=3, seed=31)
+    backward_on(fresh, preps[0], seed=38)
+    assert snapshot(net.grads()) == snapshot(fresh.grads())
 
 
 # the module kinds whose backward reads a forward cache

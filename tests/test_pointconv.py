@@ -14,6 +14,7 @@ from pne.pointconv import (
     ConvLayer,
     _backward_site,
     _forward_site,
+    _split_keff,
     _support_side,
     conv_backward,
     conv_forward,
@@ -369,8 +370,9 @@ def test_conv_matches_dense_formula(name, formula):
         param[...] = saved
         return fd
 
-    checks = [("kernel", g.d_kernel, fd_param(layer.kernel)),
-              ("projection", g.d_projection, fd_param(layer.projection))]
+    d_kernel, d_projection = _split_keff(layer, g.d_keff)
+    checks = [("kernel", d_kernel, fd_param(layer.kernel)),
+              ("projection", d_projection, fd_param(layer.projection))]
     if formula == "mean":
         checks.append(("bias", g.d_bias, fd_param(layer.bias)))
     checks += [(f"emb.{k}", g.d_embedding_params[k], fd_param(p)) for k, p in emb.params().items()]
@@ -516,7 +518,62 @@ def test_support_side_matches_padded_path(name, neighborhood, monkeypatch):
 
     assert close(out, ref_out)
     assert set(g.d_embedding_params) == set(ref.d_embedding_params) == set(emb.params())
-    for field in ("d_features", "d_kernel", "d_projection", "d_bias", "d_offsets"):
+    for field in ("d_features", "d_keff", "d_bias", "d_offsets"):
         assert close(getattr(g, field), getattr(ref, field)), field
     for k, v in ref.d_embedding_params.items():
         assert close(g.d_embedding_params[k], v), k
+
+
+def equal_count_site(neighborhood):
+    """A query-side site on which every query has the same count: kNN with
+    k = 16, or a ball query around 40 far-apart queries with 16 support
+    points in each ball."""
+    rng = np.random.default_rng(25)
+    if neighborhood == "knn":
+        support = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
+        query = PointCloud(rng.uniform(-1, 1, size=(60, 3)))
+        nl = knn(query, support, 16)
+    else:
+        centers = np.arange(40.0)[:, None] * np.array([[10.0, 0.0, 0.0]])
+        query = PointCloud(centers)
+        support = PointCloud(np.repeat(centers, 16, axis=0) + rng.uniform(-0.5, 0.5, size=(640, 3)))
+        nl = ball_query(query, support, 1.0)
+    site = make_site(query, support, nl)
+    assert not _support_side(site) and nl.counts.min() == nl.counts.max() > 0
+    return site
+
+
+@pytest.mark.parametrize("neighborhood", ["knn", "ball_query"])
+@pytest.mark.parametrize("name", sorted(DENSE_SPECS))
+def test_equal_count_site_is_its_own_table(name, neighborhood):
+    """When every query has the same count the stored pairs are the padded
+    table in order: `by_query` is a view of the indices with no slot array,
+    and output and every gradient equal, byte for byte, those of the padded
+    table and slots `_grouped` builds for the same site."""
+    site = equal_count_site(neighborhood)
+    table, slot = site.by_query
+    assert slot is None and np.shares_memory(table, site.neighbors.indices)
+    emb = dense_embedding(name)
+    layer = init_conv_layer(emb, 3, 4, embed_dim=16, seed=26)
+    layer.bias = np.array([0.5, -1.0, 0.0, 2.0])
+    rng = np.random.default_rng(27)
+    features = rng.standard_normal((site.num_support, 3))
+    up = rng.standard_normal((len(site.counts), 4))
+
+    def run():
+        out, cache = _forward_site(layer, site, features)
+        return out, _backward_site(layer, site, up, cache, with_offsets=True)
+
+    out, g = run()
+    padded = pointconv._grouped(site.neighbors.query_ids(), len(site.counts),
+                                site.neighbors.indices, site.num_support)
+    assert np.array_equal(padded[0], table)
+    assert np.array_equal(padded[1], np.arange(len(site.offsets)))
+    vars(site)["by_query"] = padded
+    ref_out, ref = run()
+    assert out.tobytes() == ref_out.tobytes()
+    for field in ("d_features", "d_keff", "d_bias", "d_offsets"):
+        assert getattr(g, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert set(g.d_embedding_params) == set(ref.d_embedding_params) == set(emb.params())
+    for k, v in ref.d_embedding_params.items():
+        assert g.d_embedding_params[k].tobytes() == v.tobytes(), k
