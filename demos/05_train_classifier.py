@@ -44,7 +44,7 @@ def prepare(samples):
 train, test = prepare(train_raw), prepare(test_raw)
 
 tc = TrainConfig(epochs=20, batch_size=16, max_lr=0.005)
-params, log = train_loop(model, train, test, tc, num_classes=4, seed=0)
+params, log = train_loop(model, train, test, tc, seed=0)
 
 for row in log[::3] + [log[-1]]:
     print(f"epoch {row['epoch']:2d}  loss {row['train_loss']:.3f}  "

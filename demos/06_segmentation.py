@@ -32,8 +32,7 @@ preps = [model.prepare(s) for s in scenes]
 train, test = preps[:16], preps[16:]
 
 tc = TrainConfig(epochs=40, batch_size=4, max_lr=0.005)
-params, log = train_loop(model, train, test, tc, num_classes=4, seed=0,
-                         segmentation=True)
+params, log = train_loop(model, train, test, tc, seed=0)
 
 for row in log[::8] + [log[-1]]:
     print(f"epoch {row['epoch']:2d}  loss {row['train_loss']:.3f}  "

@@ -28,7 +28,7 @@ from .network import (
     NeighborhoodSpec,
     SegmentationNetwork,
 )
-from .training import TrainConfig, train_loop
+from .training import train_loop
 
 
 def deterministic_mode():
@@ -56,18 +56,6 @@ def encoder_config(cfg, embedding_spec, neighborhood_spec):
         embedding=embedding_spec,
         embed_dim=cfg.embed_dim,
         drop_path_max=cfg.drop_path_max,
-    )
-
-
-def train_config(cfg):
-    return TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        max_lr=cfg.max_lr,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-        warmup_fraction=cfg.warmup_fraction,
-        early_stop_oa=cfg.early_stop_oa,
     )
 
 
@@ -126,10 +114,7 @@ def run_cell(cfg, emb_name, neigh_name, seed, preps):
     start = time.perf_counter()
     model = _build_model(cfg, emb_name, neigh_name, seed)
     train, test = preps
-    _, log = train_loop(
-        model, train, test, train_config(cfg), num_classes=len(SHAPE_KINDS), seed=seed,
-        segmentation=cfg.task == "segmentation",
-    )
+    _, log = train_loop(model, train, test, cfg, seed=seed)
     final = log[-1]
     emb_label, variant = embedding_spec_from_name(emb_name, cfg).label()
     return {

@@ -15,11 +15,10 @@ import sys
 from . import bench
 from .config import (EMBEDDING_NAMES, NEIGHBORHOOD_NAMES, ExperimentConfig, load_config,
                      resolve_experiment)
-from .datagen import SHAPE_KINDS
-from .errors import ConfigError, ParamFileError, ParseError
+from .errors import ConfigError, DegenerateInputError, ParamFileError, ParseError
 from .gradcheck import format_report, gradient_check_report
 from .network import load_params, save_params
-from .training import _evaluate, train_loop
+from .training import evaluate, train_loop
 
 
 def _config(args):
@@ -75,10 +74,8 @@ def cmd_train(args):
     train_raw, test_raw = bench.build_datasets(cfg)
     train = bench.prepare_dataset(model, train_raw, segmentation)
     test = bench.prepare_dataset(model, test_raw, segmentation)
-    params, log = train_loop(
-        model, train, test, bench.train_config(cfg), num_classes=len(SHAPE_KINDS), seed=seed,
-        log_path=os.path.join(args.out, "log.csv"), segmentation=segmentation,
-    )
+    params, log = train_loop(model, train, test, cfg, seed=seed,
+                             log_path=os.path.join(args.out, "log.csv"))
     save_params(os.path.join(args.out, "model.bin"), params)
     final = log[-1]
     print(f"oa={final['eval_oa']:.6f} macc={final['eval_macc']:.6f} "
@@ -90,7 +87,6 @@ def cmd_eval(args):
     cfg = _config(args)
     emb = args.embedding or cfg.embeddings[0]
     neigh = args.neighborhood or cfg.neighborhoods[0]
-    segmentation = cfg.task == "segmentation"
     # the seed does not matter: every parameter is overwritten from the file
     model = bench._build_model(cfg, emb, neigh, seed=0)
     saved = load_params(args.params)
@@ -104,8 +100,8 @@ def cmd_eval(args):
                                  tensor=name)
         p[...] = saved[name]
     _, test_raw = bench.build_datasets(cfg)
-    test = bench.prepare_dataset(model, test_raw, segmentation)
-    oa, macc, miou = _evaluate(model, test, len(SHAPE_KINDS), segmentation)
+    test = bench.prepare_dataset(model, test_raw, cfg.task == "segmentation")
+    oa, macc, miou = evaluate(model, test)
     print(f"oa={oa:.6f} macc={macc:.6f} miou={miou:.6f}")
     return 0
 
@@ -148,7 +144,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, OSError, ParamFileError, ParseError) as exc:
+    except (ConfigError, DegenerateInputError, OSError, ParamFileError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .embeddings import CORRELATION_KINDS
 from .errors import ConfigError, ParseError
 from .numerics import ACTIVATION_KINDS
+from .training import TrainConfig
 
 
 def parse_config(text):
@@ -118,8 +119,9 @@ NEIGHBORHOOD_NAMES = ("ball_query", "knn")
 
 
 @dataclass
-class ExperimentConfig:
-    """Fully resolved benchmark configuration (defaults are desk scale)."""
+class ExperimentConfig(TrainConfig):
+    """Fully resolved benchmark configuration (defaults are desk scale). The
+    [training] settings are the inherited `TrainConfig` fields."""
 
     task: str = "classification"
     seeds: list = field(default_factory=lambda: [0, 1, 2])
@@ -135,14 +137,6 @@ class ExperimentConfig:
     ball_scale: float = 2.0
     knn_k: int = 16
     drop_path_max: float = 0.0
-    # training
-    epochs: int = 50
-    batch_size: int = 16
-    max_lr: float = 0.005
-    weight_decay: float = 1e-4
-    clip_norm: float = 100.0
-    warmup_fraction: float = 0.3
-    early_stop_oa: float = None
     # data
     train_per_class: int = 200
     test_per_class: int = 50
@@ -155,8 +149,7 @@ class ExperimentConfig:
     sweep_correlations: list = field(default_factory=lambda: ["triangular", "gaussian"])
 
     def to_dict(self):
-        out = dict(self.__dict__)
-        return out
+        return dict(self.__dict__)
 
 
 def resolve_experiment(sections):

@@ -10,7 +10,9 @@ class StatisticsError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """A point cloud became unusable (e.g. an empty pyramid level)."""
+    """A point cloud or a geometry setting is unusable: an empty pyramid
+    level, cell coordinates beyond int64, a kernel sigma whose 2 sigma^2 is
+    0 or inf."""
 
 
 class ParseError(ValueError):

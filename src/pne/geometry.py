@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ShapeError, StatisticsError
+from .errors import DegenerateInputError, ShapeError, StatisticsError
 
 
 @dataclass
@@ -114,9 +114,9 @@ def cell_average_subsample(cloud, cell_size):
     scaled = cloud.positions / cell_size
     largest = np.abs(scaled).max(initial=0.0)
     if not largest < 2.0**63:
-        raise ValueError(f"cell_size {cell_size!r} is too small for this cloud: the "
-                         f"largest |position|/cell_size, {largest:.6g}, overflows int64 "
-                         "cell coordinates")
+        raise DegenerateInputError(f"cell_size {cell_size!r} is too small for this cloud: "
+                                   f"the largest |position|/cell_size, {largest:.6g}, "
+                                   "overflows int64 cell coordinates")
     coords = np.floor(scaled).astype(np.int64)
     order = np.lexsort(coords.T[::-1])
     ranked = coords[order]

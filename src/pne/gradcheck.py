@@ -255,7 +255,7 @@ def check_network_gradients(seed=4):
                                  "network[classification].params")]
     seg = SegmentationNetwork(_toy_config(), num_classes=3, seed=seed + 1)
     prep = seg.prepare(cloud)
-    rows.append(_network_param_check(seg, [(prep, prep.clouds[0].labels)],
+    rows.append(_network_param_check(seg, [(prep, seg.targets(prep))],
                                      "network[segmentation].params"))
     # two clouds of different sizes: the conv gradients settle from a sum
     # over two backwards, as in a training step

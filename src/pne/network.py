@@ -311,7 +311,12 @@ def build_embedding(spec, radius, seed):
     [-1/radius, 1/radius]."""
     family, variant = spec.label()
     if family == "kp":
-        shell_radius, sigma = default_kernel_layout(radius, spec.sigma_factor)
+        with np.errstate(over="ignore", under="ignore"):    # far from unit scale: inf or 0
+            shell_radius, sigma = default_kernel_layout(radius, spec.sigma_factor)
+            two_var = 2.0 * np.square(np.float64(sigma))
+        if not 0.0 < two_var < np.inf:
+            raise DegenerateInputError(f"receptive radius {radius:.6g}: kernel sigma {sigma:.6g} "
+                                       f"gives 2 sigma^2 = {two_var:.6g}, not positive and finite")
         return KernelPointEmbedding(icosahedron_kernel_points(shell_radius), sigma, variant)
     if family == "mlp":
         return init_mlp_embedding(spec.mlp_dim, radius, variant, seed)
@@ -517,6 +522,7 @@ def classify(per_level_feats, head, training=False):
 
 class ClassificationNetwork(Module):
     def __init__(self, config, num_classes, seed=0):
+        self.num_classes = num_classes
         self.encoder = Encoder(config, seed=seed)
         rng = np.random.default_rng(np.random.default_rng(seed).integers(2**31) + 1)
         self.head = Linear.init(config.widths[-1], num_classes, rng)
@@ -527,6 +533,10 @@ class ClassificationNetwork(Module):
 
     def prepare(self, cloud):
         return self.encoder.prepare(cloud)
+
+    def targets(self, prep):
+        """The class of each row of `forward(prep)`: the cloud's label."""
+        return [prep.label]
 
     def forward(self, prep, training=False, rng=None):
         per_level = self.encoder.forward(prep, training=training, rng=rng)
@@ -622,6 +632,7 @@ class SegmentationNetwork(Module):
     down-scaled cloud (its majority labels are the training targets)."""
 
     def __init__(self, config, num_classes, seed=0):
+        self.num_classes = num_classes
         self.encoder = Encoder(config, seed=seed)
         self.decoder = Decoder(config, num_classes, seed=np.random.default_rng(seed).integers(2**31) + 7)
 
@@ -631,6 +642,10 @@ class SegmentationNetwork(Module):
 
     def prepare(self, cloud):
         return self.encoder.prepare(cloud, for_decoder=True)
+
+    def targets(self, prep):
+        """The class of each row of `forward(prep)`: the level-0 labels."""
+        return prep.clouds[0].labels
 
     def forward(self, prep, training=False, rng=None):
         enc_feats = self.encoder.forward(prep, training=training, rng=rng)
@@ -673,9 +688,10 @@ def _read_exact(fh, size, what, tensor=None):
 
 
 def load_params(path):
-    """Read a file written by `save_params`. A truncated file, trailing bytes
-    or non-finite values raise ParamFileError naming the tensor at fault; a
-    name that is not UTF-8, its position in the tensor table."""
+    """Read a file written by `save_params`. A truncated file, trailing bytes,
+    non-finite values or a shape numpy cannot allocate raise ParamFileError
+    naming the tensor at fault; a name that is not UTF-8, its position in
+    the tensor table."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ParamFileError("not a parameter file")
@@ -700,7 +716,11 @@ def load_params(path):
             data = np.frombuffer(_read_exact(fh, 8 * size, "values", name), dtype="<f8")
             if not np.all(np.isfinite(data)):
                 raise ParamFileError("non-finite values", tensor=name)
-            out[name] = data.reshape(shape).astype(np.float64)
+            try:
+                values = data.reshape(shape)
+            except ValueError as exc:     # e.g. (0, 2**62): no bytes, yet too big for numpy
+                raise ParamFileError(f"shape {shape} cannot be allocated: {exc}", name) from None
+            out[name] = values.astype(np.float64)
         trailing = len(fh.read())
         if trailing:
             raise ParamFileError(f"{trailing} trailing bytes after the last tensor")

@@ -18,16 +18,18 @@ product, and neither forms a per-pair (T, I * E) tensor.
 
 Query side. The T stored pairs are laid out in a padded (M, Kmax) table of
 support indices, Kmax the largest neighbor count. Row m lists the neighbors
-of query m and its empty slots hold N, the index of a zero shadow row
-appended to the features; `slot` is each pair's flat position in that
-table. The site keeps both as `by_query = (table, slot)`. When every query
-has the same count k > 0 (every kNN site, and any ball query that happens
-to), the stored pairs already are that table in order: `table` is the
-indices as (M, k), `slot` is None, epad is e reshaped and a per-pair row is
-a reshape of the padded array. Then
+of query m and its empty slots hold 0, so they read support row 0; `slot`
+is each pair's flat position in that table. The site keeps both as
+`by_query = (table, slot)`. No output or gradient reads an empty slot
+unmasked: epad is zero there and only pair slots are gathered back. This
+needs finite conv features: a non-finite row 0 would reach every query with
+an empty slot as 0 * inf. When every query has the same count k > 0 (every
+kNN site, and any ball query that happens to), the stored pairs already are
+that table in order: `table` is the indices as (M, k), `slot` is None, epad
+is e reshaped and a per-pair row is a reshape of the padded array. Then
 
     epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
-    fpad  = [f; 0][table]              (M, Kmax, I)
+    fpad  = f[table]                   (M, Kmax, I)
     zq    = epad^T @ fpad              (M, E_raw, I), one batched matmul, as (M, E_raw * I)
     out   = norm * (zq @ K_eff) + bias
 
@@ -71,7 +73,8 @@ embedding has learnable parameters or offset gradients are requested:
 (fpad @ dz^T) at the pair slots on the query side. On the support side
 d_e[t, r] = H[y_t, r] . (norm * upstream)[q_t] is one batched matmul over
 the support points, on the (N, Ks) table that lists the queries of each
-support point's pairs (`by_support`, again a (table, slot) pair), so no
+support point's pairs (`by_support`, again a (table, slot) pair; its empty
+slots read upstream row 0, and only pair slots are kept), so no
 (T, E_raw, O) gather of H is formed.
 
 What backward reuses. A forward that keeps its cache (`keep=True`) returns
@@ -114,24 +117,23 @@ class ConvSite:
 
     @cached_property
     def by_query(self):
-        """(table, slot): the (M, Kmax) support index of each slot, num_support
-        if empty, and the (T,) flat position of each pair in that table. When
+        """(table, slot): the (M, Kmax) support index of each slot, 0 if
+        empty, and the (T,) flat position of each pair in that table. When
         every query has the same count k > 0 the pairs are the table in
         order: the table is a view of the indices as (M, k) and slot is
         None."""
         m, counts = len(self.counts), self.counts
         if m and counts.min() == counts.max() > 0:
             return self.neighbors.indices.reshape(m, -1), None
-        return _grouped(self.neighbors.query_ids(), m, self.neighbors.indices, self.num_support)
+        return _grouped(self.neighbors.query_ids(), m, self.neighbors.indices)
 
     @cached_property
     def by_support(self):
         """(table, slot): the (N, Ks) query index of each slot, Ks the most
-        pairs on one support point, M if empty, and the (T,) flat position of
+        pairs on one support point, 0 if empty, and the (T,) flat position of
         each pair in that table. Row n lists, in pair order, the queries of
         the pairs on support point n."""
-        return _grouped(self.neighbors.indices, self.num_support,
-                        self.neighbors.query_ids(), len(self.counts))
+        return _grouped(self.neighbors.indices, self.num_support, self.neighbors.query_ids())
 
     @cached_property
     def from_pairs(self):
@@ -143,16 +145,16 @@ class ConvSite:
                                  shape=(self.num_support, t))
 
 
-def _grouped(keys, num_groups, values, fill):
+def _grouped(keys, num_groups, values):
     """The padded table of pairs grouped by `keys` and each pair's flat
     position (slot) in it. Row g lists, in pair order, the `values` of the
-    pairs whose key is g, and `fill` in its empty slots."""
+    pairs whose key is g, and 0 in its empty slots."""
     counts = np.bincount(keys, minlength=num_groups)
     width = counts.max(initial=0)
     rank = np.empty(len(keys), dtype=np.int64)
     rank[np.argsort(keys, kind="stable")] = np.arange(len(keys))
     slot = rank + (keys * width - (np.cumsum(counts) - counts)[keys])
-    table = np.full(num_groups * width, fill, dtype=np.int64)
+    table = np.zeros(num_groups * width, dtype=np.int64)
     table[slot] = values
     return table.reshape(num_groups, width), slot
 
@@ -291,10 +293,7 @@ def _padded_forward(site, features, epad, k_eff):
     backward reads."""
     m, _, r = epad.shape
     i = features.shape[1]
-    table, slot = site.by_query
-    if slot is not None:    # empty slots read a zero shadow row
-        features = np.concatenate((features, np.zeros((1, i))))
-    fpad = np.take(features, table, axis=0)
+    fpad = np.take(features, site.by_query[0], axis=0)
     zq = np.matmul(epad.transpose(0, 2, 1), fpad).reshape(m, r * i)   # (M, E_raw*I)
     return zq @ k_eff, (epad, fpad, zq, k_eff)
 
@@ -362,7 +361,7 @@ def _support_backward(site, uq, kept, with_pairs):
     if with_pairs:
         # d_e[t, r] = H[y_t, r] . uq[q_t], one batched matmul over support points
         table, slot = site.by_support
-        uqpad = np.take(np.concatenate((uq, np.zeros((1, o)))), table, axis=0)
+        uqpad = np.take(uq, table, axis=0)
         g = np.matmul(uqpad, h.reshape(n, r, o).transpose(0, 2, 1))      # (N, Ks, E_raw)
         d_e = _at_pairs(g, slot)
     return d_features, d_keff, d_e

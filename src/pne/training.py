@@ -1,8 +1,9 @@
 """Optimization recipe: AdamW with decoupled weight decay, one-cycle
 learning-rate schedule, global gradient-norm clipping, cross-entropy loss,
 and confusion-matrix metrics (overall accuracy, mean class accuracy, mean
-IoU). Plus the deterministic training loop used by the benchmark harness.
-"""
+IoU). Plus the deterministic training loop used by the benchmark harness
+and `evaluate`, which read the task from the network: its `num_classes`
+and `targets(prep)`, the labels its logits are scored against."""
 
 import csv
 from dataclasses import dataclass, field
@@ -171,6 +172,8 @@ def metrics_compute(metrics):
 
 @dataclass
 class TrainConfig:
+    """The recipe's settings, declared once: `ExperimentConfig` extends it."""
+
     epochs: int = 50
     batch_size: int = 16
     max_lr: float = 0.005
@@ -180,25 +183,23 @@ class TrainConfig:
     early_stop_oa: float = None  # stop once eval OA reaches this
 
 
-def _evaluate(model, samples, num_classes, segmentation):
-    metrics = Metrics(num_classes)
+def evaluate(model, samples):
+    """(overall accuracy, mean class accuracy, mean IoU) of `model` on the
+    prepared `samples`, against `model.targets`."""
+    metrics = Metrics(model.num_classes)
     for prep in samples:
         logits = model.forward(prep, training=False)
-        pred = logits.argmax(axis=1)
-        if segmentation:
-            metrics.update(pred, prep.clouds[0].labels)
-        else:
-            metrics.update(pred, [prep.label])
+        metrics.update(logits.argmax(axis=1), model.targets(prep))
     return metrics_compute(metrics)
 
 
-def train_loop(model, train_set, test_set, config, num_classes, seed=0,
-               log_path=None, segmentation=False):
+def train_loop(model, train_set, test_set, config, seed=0, log_path=None):
     """Deterministic training loop over prepared samples.
 
-    `train_set`/`test_set` are lists of PreparedSample (classification
-    samples carry `label`; segmentation targets are the level-0 cloud
-    labels). Logs one CSV line per epoch:
+    The model owns its task: `model.targets(prep)` gives the labels of its
+    logits and `model.num_classes` sizes the metrics, so one loop trains a
+    classification or a segmentation network. `config` is a TrainConfig (an
+    ExperimentConfig is one). Logs one CSV line per epoch:
     epoch,step,lr,train_loss,eval_oa,eval_macc,eval_miou.
     Returns (params, per-epoch log rows)."""
     rng = np.random.default_rng(seed)
@@ -222,8 +223,7 @@ def train_loop(model, train_set, test_set, config, num_classes, seed=0,
             for si in batch:
                 prep = train_set[si]
                 logits = model.forward(prep, training=True, rng=rng)
-                labels = prep.clouds[0].labels if segmentation else [prep.label]
-                loss, d_logits = cross_entropy(logits, labels)
+                loss, d_logits = cross_entropy(logits, model.targets(prep))
                 model.backward(d_logits / len(batch))
                 batch_loss += loss / len(batch)
             grads = model.grads()
@@ -232,7 +232,7 @@ def train_loop(model, train_set, test_set, config, num_classes, seed=0,
             adamw_step(state, params, grads, lr)
             losses.append(batch_loss)
             step += 1
-        oa, macc, miou = _evaluate(model, test_set, num_classes, segmentation)
+        oa, macc, miou = evaluate(model, test_set)
         log.append({
             "epoch": epoch,
             "step": step,

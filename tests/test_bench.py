@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,50 @@ def test_cli_rejects_negative_seeds_in_config(command, text, key, tmp_path, monk
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def with_setting(section, key, value):
+    """TINY_CFG_TEXT with `key = value` in [section], replacing any `key`."""
+    lines = [line for line in TINY_CFG_TEXT.splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, section, key, value, fault", [
+    ("train", "network", "initial_cell", "1e-300", "kernel sigma 0 "),
+    ("train", "network", "initial_cell", "1e300", "kernel sigma inf "),
+    ("train", "network", "ball_scale", "1e300", "kernel sigma inf "),
+    ("train", "network", "ball_scale", "1e-300", "kernel sigma 0 "),
+    ("train", "network", "sigma_factor", "1e300", "2 sigma^2 = inf"),
+    ("train", "network", "sigma_factor", "1e-300", "2 sigma^2 = 0"),
+    ("train", "data", "noise_sigma", "1e300", "cell_size 0.3 "),
+    ("neigh-stats", "network", "initial_cell", "1e-300", "cell_size 1e-300 "),
+])
+def test_cli_degenerate_geometry_exits_2(command, section, key, value, fault, tmp_path, capsys):
+    """A geometry setting the config accepts, but under which a cell size
+    overflows int64 cell coordinates or a kernel's 2 sigma^2 is 0 or inf,
+    ends in one `error:` line naming the value at fault and exit 2, with no
+    traceback and no warning."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(with_setting(section, key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fault in err[0]
+
+
+def test_grid_records_a_degenerate_kernel_as_a_failed_row(tmp_path, capsys):
+    """Under sigma_factor = 1e300 the kp:gaussian cell fails and the grid
+    records it; the cell without a kernel still trains."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(with_setting("network", "sigma_factor", "1e300").replace(
+        "embeddings = kp:gaussian", "embeddings = kp:gaussian, none"))
+    assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    failures = json.load(open(tmp_path / "run" / "grid.json"))["failures"]
+    assert [(r["embedding"], r["variant"]) for r in failures] == [("kp", "gaussian")]
+    assert "2 sigma^2 = inf" in failures[0]["error"]
 
 
 def test_cli_gradcheck_exit_codes(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from pne.config import (
     resolve_experiment,
 )
 from pne.errors import ConfigError, ParseError
+from pne.training import TrainConfig
 
 
 SAMPLE = """
@@ -90,6 +91,22 @@ def test_resolve_defaults():
     assert cfg.embeddings == list(EMBEDDING_NAMES)
     assert cfg.epochs == 50
     assert cfg.sweep_factors == [0.25, 0.5, 1.0, 2.0, 4.0]
+
+
+def test_experiment_config_keeps_every_setting_and_default():
+    """The [training] settings are inherited from TrainConfig; the 28
+    settable values keep their names and defaults."""
+    assert issubclass(ExperimentConfig, TrainConfig)
+    assert ExperimentConfig().to_dict() == {
+        "task": "classification", "seeds": [0, 1, 2], "embeddings": list(EMBEDDING_NAMES),
+        "neighborhoods": ["ball_query", "knn"], "widths": [16, 32, 64], "blocks": [1, 1, 1],
+        "initial_cell": 0.2, "embed_dim": 16, "mlp_dim": 16, "sigma_factor": 1.0,
+        "ball_scale": 2.0, "knn_k": 16, "drop_path_max": 0.0, "epochs": 50,
+        "batch_size": 16, "max_lr": 0.005, "weight_decay": 1e-4, "clip_norm": 100.0,
+        "warmup_fraction": 0.3, "early_stop_oa": None, "train_per_class": 200,
+        "test_per_class": 50, "points": 256, "noise_sigma": 0.01, "data_seed": 0,
+        "num_scenes": 20, "sweep_factors": [0.25, 0.5, 1.0, 2.0, 4.0],
+        "sweep_correlations": ["triangular", "gaussian"]}
 
 
 def test_resolve_overrides():

@@ -1,4 +1,5 @@
 import gc
+import struct
 
 import numpy as np
 import pytest
@@ -548,6 +549,20 @@ def test_load_rejects_trailing_bytes(tmp_path):
 def test_load_rejects_non_finite_values(tmp_path, bad):
     path = _saved_file(tmp_path, {"a": np.ones(2), "b": np.array([1.0, bad])})
     with pytest.raises(ParamFileError, match="tensor 'b': non-finite") as info:
+        load_params(path)
+    assert info.value.tensor == "b"
+
+
+@pytest.mark.parametrize("shape", [(0, 2**62), (0, 2**64 - 1), (2**32, 2**32, 0)])
+def test_load_rejects_a_shape_numpy_cannot_allocate(tmp_path, shape):
+    """A shape with a zero dimension holds no bytes and passes the size
+    check; numpy still cannot make an array of it."""
+    path = _saved_file(tmp_path, {"a": np.ones(2), "b": np.zeros((0, 1, 0))})
+    data = path.read_bytes()
+    table_end = data.index(b"b") + 1
+    shape_bytes = struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+    path.write_bytes(data[:table_end] + shape_bytes + data[table_end + 1 + 24:])
+    with pytest.raises(ParamFileError, match=r"tensor 'b': shape \(.*\) cannot be allocated") as info:
         load_params(path)
     assert info.value.tensor == "b"
 

@@ -237,9 +237,9 @@ def test_sum_vs_mean():
 
 def test_make_site_padded_table():
     """Row m of the table starts with the neighbors of query m, in order, and
-    every other slot holds num_support; slot puts each pair at its entry.
-    Row n of the support table starts with the queries of the pairs on
-    support point n, in pair order, and every other slot holds M."""
+    every other slot holds 0; slot puts each pair at its entry. Row n of the
+    support table starts with the queries of the pairs on support point n,
+    in pair order, and every other slot holds 0."""
     rng = np.random.default_rng(21)
     support = PointCloud(rng.uniform(-1, 1, size=(20, 3)))
     query = PointCloud(np.vstack([rng.uniform(-1, 1, size=(9, 3)), [[9.0, 9.0, 9.0]]]))
@@ -251,7 +251,7 @@ def test_make_site_padded_table():
     assert table.shape == (len(query), counts.max())
     for m in range(len(query)):
         assert np.array_equal(table[m, :counts[m]], nl.neighbors(m))
-        assert np.all(table[m, counts[m]:] == len(support))
+        assert np.all(table[m, counts[m]:] == 0)
     assert np.array_equal(table.ravel()[slot], nl.indices)
     qid = nl.query_ids()
     on_support = np.bincount(nl.indices, minlength=len(support))
@@ -260,7 +260,7 @@ def test_make_site_padded_table():
     assert table.shape == (len(support), on_support.max())
     for n in range(len(support)):
         assert np.array_equal(table[n, :on_support[n]], qid[nl.indices == n])
-        assert np.all(table[n, on_support[n]:] == len(query))
+        assert np.all(table[n, on_support[n]:] == 0)
     assert np.array_equal(table.ravel()[slot], qid)
 
 
@@ -566,7 +566,7 @@ def test_equal_count_site_is_its_own_table(name, neighborhood):
 
     out, g = run()
     padded = pointconv._grouped(site.neighbors.query_ids(), len(site.counts),
-                                site.neighbors.indices, site.num_support)
+                                site.neighbors.indices)
     assert np.array_equal(padded[0], table)
     assert np.array_equal(padded[1], np.arange(len(site.offsets)))
     vars(site)["by_query"] = padded
@@ -577,3 +577,76 @@ def test_equal_count_site_is_its_own_table(name, neighborhood):
     assert set(g.d_embedding_params) == set(ref.d_embedding_params) == set(emb.params())
     for k, v in ref.d_embedding_params.items():
         assert g.d_embedding_params[k].tobytes() == v.tobytes(), k
+
+
+def _probe_row_zero(array):
+    """A copy of `array` whose row 0 is moved far from its value."""
+    out = array.copy()
+    out[0] = 1e3 * (1.0 + np.arange(array.shape[1]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["kp:gaussian", "mlp:gelu"])
+def test_empty_query_slots_read_nothing(name):
+    """On a ball-query site with unequal counts the empty slots of the padded
+    table read features row 0. Changing that row leaves every value that
+    does not depend on it array_equal: the output of each query that does
+    not have support point 0 as a neighbor, the offset gradient of that
+    query's pairs, d_features and d_bias."""
+    rng = np.random.default_rng(28)
+    query = PointCloud(np.vstack([rng.uniform(-1, 1, size=(11, 3)), [[9.0, 9.0, 9.0]]]))
+    support = PointCloud(np.vstack([query.positions[:1], rng.uniform(-1, 1, size=(29, 3))]))
+    nl = ball_query(query, support, 0.7)
+    site = make_site(query, support, nl)
+    assert not _support_side(site) and site.by_query[1] is not None
+    free = np.array([0 not in nl.neighbors(m) for m in range(len(query))])
+    assert (free & (nl.counts < nl.counts.max())).sum() >= 3 and not free.all()
+    layer = init_conv_layer(build_embedding(EmbeddingSpec(name, mlp_dim=4), 0.7, seed=29),
+                            3, 4, embed_dim=8, seed=30)
+    features = rng.standard_normal((len(support), 3))
+    up = rng.standard_normal((len(query), 4))
+
+    def run(f):
+        out, cache = _forward_site(layer, site, f)
+        return out, _backward_site(layer, site, up, cache, with_offsets=True)
+
+    out, g = run(features)
+    moved_out, moved = run(_probe_row_zero(features))
+    assert not np.array_equal(out, moved_out)
+    assert np.array_equal(out[free], moved_out[free])
+    pairs = free[nl.query_ids()]
+    assert np.array_equal(g.d_offsets[pairs], moved.d_offsets[pairs])
+    assert np.array_equal(g.d_features, moved.d_features)
+    assert np.array_equal(g.d_bias, moved.d_bias)
+
+
+def test_empty_support_slots_read_nothing():
+    """On a support-side site the empty slots of `by_support` read upstream
+    row 0. Under an mlp:gelu embedding, changing that row leaves every
+    value that does not depend on it array_equal: the output, the offset
+    gradient of every pair of another query, and the feature gradient of
+    each support point that is not a neighbor of query 0."""
+    rng = np.random.default_rng(33)
+    support = PointCloud(np.vstack([rng.uniform(-1, 1, size=(7, 3)), [[-9.0, 0.0, 0.0]]]))
+    query = PointCloud(np.vstack([support.positions[:1], rng.uniform(-1, 1, size=(19, 3))]))
+    nl = ball_query(query, support, 0.9)
+    site = make_site(query, support, nl)
+    on_support = np.bincount(nl.indices, minlength=len(support))
+    assert _support_side(site) and on_support.min() < on_support.max()
+    layer = init_conv_layer(build_embedding(EmbeddingSpec("mlp:gelu", mlp_dim=4), 0.9, seed=31),
+                            3, 4, embed_dim=8, seed=32)
+    features = rng.standard_normal((site.num_support, 3))
+    up = rng.standard_normal((len(site.counts), 4))
+
+    def run(upstream):
+        out, cache = _forward_site(layer, site, features)
+        return out, _backward_site(layer, site, upstream, cache, with_offsets=True)
+
+    out, g = run(up)
+    moved_out, moved = run(_probe_row_zero(up))
+    assert np.array_equal(out, moved_out)
+    pairs = nl.query_ids() != 0
+    assert not np.array_equal(g.d_offsets, moved.d_offsets)
+    assert np.array_equal(g.d_offsets[pairs], moved.d_offsets[pairs])
+    rows = np.setdiff1d(np.arange(site.num_support), nl.neighbors(0))
+    assert len(rows) and np.array_equal(g.d_features[rows], moved.d_features[rows])

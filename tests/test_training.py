@@ -11,6 +11,7 @@ from pne.training import (
     adamw_step,
     clip_grad_norm,
     cross_entropy,
+    evaluate,
     metrics_compute,
     onecycle_lr,
     train_loop,
@@ -207,9 +208,9 @@ def _toy_setup(n_samples=10, seed=0):
 def test_train_loop_deterministic():
     tc = TrainConfig(epochs=2, batch_size=4)
     model1, train, test = _toy_setup()
-    p1, log1 = train_loop(model1, train, test, tc, num_classes=4, seed=7)
+    p1, log1 = train_loop(model1, train, test, tc, seed=7)
     model2, train2, test2 = _toy_setup()
-    p2, log2 = train_loop(model2, train2, test2, tc, num_classes=4, seed=7)
+    p2, log2 = train_loop(model2, train2, test2, tc, seed=7)
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
     assert log1 == log2
@@ -227,7 +228,7 @@ def test_memorization_overfit():
     """Loss on a 10-sample task falls below 0.01 within 200 steps."""
     model, train, _ = _toy_setup(n_samples=10, seed=2)
     tc = TrainConfig(epochs=200, batch_size=10, max_lr=0.005, weight_decay=0.0)
-    _, log = train_loop(model, train, train[:2], tc, num_classes=4, seed=3)
+    _, log = train_loop(model, train, train[:2], tc, seed=3)
     assert min(row["train_loss"] for row in log) < 0.01
     # and it got there within 200 optimizer steps (1 step per epoch here)
     assert any(row["train_loss"] < 0.01 for row in log if row["step"] <= 200)
@@ -237,7 +238,7 @@ def test_train_loop_csv_log(tmp_path):
     tc = TrainConfig(epochs=2, batch_size=4)
     model, train, test = _toy_setup(seed=4)
     path = tmp_path / "log.csv"
-    train_loop(model, train, test, tc, num_classes=4, seed=5, log_path=str(path))
+    train_loop(model, train, test, tc, seed=5, log_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,step,lr,train_loss,eval_oa,eval_macc,eval_miou"
     assert len(lines) == 3
@@ -246,5 +247,26 @@ def test_train_loop_csv_log(tmp_path):
 def test_early_stop():
     model, train, test = _toy_setup(seed=6)
     tc = TrainConfig(epochs=50, batch_size=4, early_stop_oa=0.0)
-    _, log = train_loop(model, train, test, tc, num_classes=4, seed=6)
+    _, log = train_loop(model, train, test, tc, seed=6)
     assert len(log) == 1  # any OA >= 0 stops after the first epoch
+
+
+def test_train_loop_reads_the_task_from_the_model():
+    """A segmentation network trains and is evaluated through the same calls
+    as a classifier: its per-point logits are scored against
+    `model.targets(prep)`, the level-0 labels, in metrics sized by
+    `model.num_classes`."""
+    from pne.datagen import make_segmentation_dataset
+    from pne.network import EmbeddingSpec, EncoderConfig, NeighborhoodSpec, SegmentationNetwork
+
+    cfg = EncoderConfig(initial_cell=0.3, widths=[4, 4], blocks_per_level=[1, 1],
+                        neighborhood=NeighborhoodSpec("knn", k=4),
+                        embedding=EmbeddingSpec("kp:gaussian"), embed_dim=4)
+    model = SegmentationNetwork(cfg, num_classes=4, seed=0)
+    preps = [model.prepare(s) for s in make_segmentation_dataset(n_scenes=3, n_per_shape=32)]
+    assert model.num_classes == 4 and model.targets(preps[0]) is preps[0].clouds[0].labels
+    _, log = train_loop(model, preps[:2], preps[2:], TrainConfig(epochs=1, batch_size=2))
+    metrics = Metrics(4)
+    metrics.update(model.forward(preps[2]).argmax(axis=1), preps[2].clouds[0].labels)
+    final = tuple(log[-1][k] for k in ("eval_oa", "eval_macc", "eval_miou"))
+    assert evaluate(model, preps[2:]) == metrics_compute(metrics) == final
