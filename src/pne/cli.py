@@ -15,7 +15,8 @@ import sys
 from . import bench
 from .config import (EMBEDDING_NAMES, NEIGHBORHOOD_NAMES, ExperimentConfig, load_config,
                      resolve_experiment)
-from .errors import ConfigError, DegenerateInputError, ParamFileError, ParseError
+from .errors import (ConfigError, DegenerateInputError, ParamFileError, ParseError,
+                     TrainingFault)
 from .gradcheck import format_report, gradient_check_report
 from .network import load_params, save_params
 from .training import evaluate, train_loop
@@ -144,7 +145,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DegenerateInputError, OSError, ParamFileError, ParseError) as exc:
+    except (ConfigError, DegenerateInputError, OSError, ParamFileError, ParseError,
+            TrainingFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DegenerateInputError
 from .geometry import PointCloud
 
 SPHERE = "sphere"
@@ -83,6 +84,8 @@ def sample_shape(kind, n, noise_sigma=0.0, seed=0):
     pts = _SAMPLERS[kind](rng, n)
     if noise_sigma > 0:
         pts = pts + rng.normal(scale=noise_sigma, size=pts.shape)
+        if not np.all(np.isfinite(pts)):
+            raise DegenerateInputError(f"noise_sigma {noise_sigma!r} overflows the positions")
     return PointCloud(pts)
 
 

@@ -48,6 +48,12 @@ class MissingCacheError(RuntimeError):
     before it, or an earlier backward already released it."""
 
 
+class NonFiniteError(ValueError, FloatingPointError):
+    """A value that must be finite is inf or nan, as an overflow upstream
+    leaves it. A FloatingPointError, as numpy raises one under
+    np.errstate(over="raise"), so training catches both as one."""
+
+
 class TrainingFault(RuntimeError):
     """Non-finite value encountered during training."""
 

@@ -5,17 +5,21 @@ Cell averaging ranks the integer cell coordinates with one `np.lexsort`
 (x major, then y, then z) and numbers the cells where a sorted row differs
 from the one before it.
 
-In both searches scipy's cKDTree proposes and an exact norm decides. kNN
-selects through one window: `_window` takes each row's nearest points from
-the tree, re-measures them and keeps the k first by (distance, index). A
-row whose k-th distance may tie a point past its window is selected again
-through a window twice as wide, until no row is in doubt; on clouds without
-ties that is none, so one window of k+1 serves every row. Ball query builds
-no Python object per query: it takes every pair within a slightly widened
-radius from one sweep of a query tree against the support tree. A call
-builds the trees it needs, unless its caller passes `_trees`, a dict that
-keeps each cloud's tree for the calls that follow: `Encoder.prepare` builds
-one tree per pyramid level that way, and drops them all when it returns.
+In both searches scipy's cKDTree proposes, its own distance decides every
+answer it clears by more than `_SLACK`, and an exact norm decides the
+near-ties. kNN selects through one window: `_window` takes each row's
+nearest points from the tree, keeps the k first where the tree's (k+1)-th
+distance clears its k-th by (1 + _SLACK)**2, and re-measures the other
+rows, keeping the k first by (distance, index). A row whose k-th distance
+may tie a point past its window is selected again through a window twice as
+wide, until no row is in doubt; on clouds without ties that is none, so one
+window of k+1 serves every row. Ball query builds no Python object per
+query: it takes every pair within a slightly widened radius from one sweep
+of a query tree against the support tree, keeps the pairs the tree places
+clearly inside and re-measures the rest. A call builds the trees it needs,
+unless its caller passes `_trees`, a dict that keeps each cloud's tree for
+the calls that follow: `Encoder.prepare` builds one tree per pyramid level
+that way, and drops them all when it returns.
 
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
@@ -144,13 +148,15 @@ def cell_average_subsample(cloud, cell_size):
     return PointCloud(positions, features=features, labels=labels)
 
 
-# Relative slack between the tree's distances and the norm below, which
-# makes every final decision. The tree sums squared coordinate differences
-# in its own order, so its distance can sit a few ulp away from the norm.
-# Both round the same coordinate differences, so the gap is relative to the
-# distance, not to the coordinates, and stays so for clouds far from the
-# origin. Every radius handed to the tree is widened by this factor, and the
-# kNN window check by its square.
+# Relative bound between the tree's distance t and the norm below, n. The
+# tree sums squared coordinate differences in its own order, so t can sit a
+# few ulp above or below n. Both round the same coordinate differences, so
+# the gap is relative to the distance, not to the coordinates, and stays so
+# for clouds far from the origin: n / (1 + _SLACK) <= t <= n * (1 + _SLACK).
+# The upper side lets a radius widened by this factor hand every pair within
+# the radius to the tree; the lower side keeps a pair the tree places within
+# the radius divided by it. Both sides at once settle a kNN row whose tree
+# distances step up by more than the square of the factor past its k-th.
 _SLACK = 1e-9
 
 
@@ -194,23 +200,31 @@ def _window(tree, positions, support, take, width):
     ascending, selected from the `width` nearest the tree proposes, and the
     rows whose selection is in doubt.
 
-    Re-measured with the exact norm and ordered by (distance, index), the
-    first `take` of the window are the answer unless a point outside it may
-    tie the take-th. Every point outside has tree distance >= the window's
-    last, tree_d[:, -1], and norm >= tree distance / (1 + _SLACK). Where
-    tree_d[:, -1] > kth * (1 + _SLACK)**2, each of them has norm
-    > kth * (1 + _SLACK) > kth, the take-th norm in the window, so the window
-    holds the answer. A window of the whole support leaves no row in doubt.
+    The tree's distances t come sorted. Where t[take] > t[take-1] *
+    (1 + _SLACK)**2, every point among the first `take` has norm <=
+    t[take-1] * (1 + _SLACK) < t[take] / (1 + _SLACK), below the norm of
+    every other point, in the window or past it: the first `take` are the
+    answer and tie nothing. Only the other rows are re-measured with the
+    exact norm and ordered by (distance, index); their first `take` are the
+    answer unless a point outside the window may tie the take-th. Every
+    such point has tree distance >= t[width-1], so where t[width-1] >
+    kth * (1 + _SLACK)**2 its norm exceeds kth, the take-th norm in the
+    window. A window of the whole support leaves no row in doubt.
     """
     tree_d, idx = tree.query(positions, k=list(range(1, width + 1)))
-    d = _distances(np.take(support.positions, idx, axis=0), positions[:, None, :])
+    nearest = np.sort(idx[:, :take], axis=1)
+    if take == width:
+        return nearest, np.empty(0, dtype=np.int64)
+    rows = np.flatnonzero(tree_d[:, take] <= tree_d[:, take - 1] * (1.0 + _SLACK) ** 2)
+    tree_d, idx = tree_d[rows], idx[rows]
+    d = _distances(np.take(support.positions, idx, axis=0), positions[rows, None, :])
     # ties at the k-th distance break toward the smallest support index
     order = np.lexsort((idx, d))
-    nearest = np.sort(np.take_along_axis(idx, order[:, :take], axis=1), axis=1)
+    nearest[rows] = np.sort(np.take_along_axis(idx, order[:, :take], axis=1), axis=1)
     if width == len(support):
         return nearest, np.empty(0, dtype=np.int64)
     kth = np.take_along_axis(d, order[:, take - 1:take], axis=1)[:, 0]
-    return nearest, np.flatnonzero(tree_d[:, -1] <= kth * (1.0 + _SLACK) ** 2)
+    return nearest, rows[tree_d[:, -1] <= kth * (1.0 + _SLACK) ** 2]
 
 
 def knn(query, support, k, *, _trees=None):
@@ -244,9 +258,10 @@ def ball_query(query, support, radius, *, _trees=None):
     """All support points within `radius` (inclusive) of each query point.
 
     One sweep of a query tree against the support tree (a single tree when
-    `query is support`) lists the pairs within the widened radius; sorted by
-    (query, index) and re-measured, the pairs with exact distance <= radius
-    are kept. Queries with no point in range get an empty range.
+    `query is support`) lists the pairs within the widened radius. Those it
+    places within radius / (1 + _SLACK) are inside; the rest are kept where
+    their exact distance is <= radius. The pairs are sorted by (query,
+    index), and queries with no point in range get an empty range.
     """
     _check_positive("radius", radius)
     if len(support) == 0:
@@ -254,9 +269,12 @@ def ball_query(query, support, radius, *, _trees=None):
     trees = {} if _trees is None else _trees
     pairs = _tree(query, trees).sparse_distance_matrix(
         _tree(support, trees), radius * (1.0 + _SLACK), output_type="ndarray")
-    qid, idx = np.divmod(np.sort(pairs["i"] * len(support) + pairs["j"]), len(support))
-    inside = _pair_distances(query, support, qid, idx) <= radius
-    return _neighbor_list(len(query), qid[inside], idx[inside])
+    qid, idx = pairs["i"], pairs["j"]
+    inside = np.ones(len(pairs), dtype=bool)
+    near = np.flatnonzero(pairs["v"] > radius / (1.0 + _SLACK))
+    inside[near] = _pair_distances(query, support, qid[near], idx[near]) <= radius
+    qid, idx = np.divmod(np.sort(qid[inside] * len(support) + idx[inside]), len(support))
+    return _neighbor_list(len(query), qid, idx)
 
 
 def farthest_distances(neighbors, query, support):

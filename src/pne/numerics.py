@@ -8,6 +8,8 @@ parameters in.
 import numpy as np
 from scipy.special import erf
 
+from .errors import NonFiniteError
+
 RELU = "relu"
 GELU = "gelu"
 SIN = "sin"
@@ -21,7 +23,7 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def _check_finite(x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ValueError("activation input must be finite")
+        raise NonFiniteError("activation input must be finite")
     return x
 
 

@@ -193,6 +193,7 @@ def evaluate(model, samples):
     return metrics_compute(metrics)
 
 
+@np.errstate(over="raise", invalid="raise")
 def train_loop(model, train_set, test_set, config, seed=0, log_path=None):
     """Deterministic training loop over prepared samples.
 
@@ -201,7 +202,11 @@ def train_loop(model, train_set, test_set, config, seed=0, log_path=None):
     classification or a segmentation network. `config` is a TrainConfig (an
     ExperimentConfig is one). Logs one CSV line per epoch:
     epoch,step,lr,train_loss,eval_oa,eval_macc,eval_miou.
-    Returns (params, per-epoch log rows)."""
+    Returns (params, per-epoch log rows).
+
+    A run that diverges raises TrainingFault naming the number of steps
+    taken: it runs under np.errstate(over="raise", invalid="raise"), so the
+    first overflow ends it, with no warning."""
     rng = np.random.default_rng(seed)
     params = model.params()
     state = AdamWState(weight_decay=config.weight_decay)
@@ -213,37 +218,40 @@ def train_loop(model, train_set, test_set, config, seed=0, log_path=None):
     )
     log = []
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_set))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            model.zero_grads()
-            batch_loss = 0.0
-            for si in batch:
-                prep = train_set[si]
-                logits = model.forward(prep, training=True, rng=rng)
-                loss, d_logits = cross_entropy(logits, model.targets(prep))
-                model.backward(d_logits / len(batch))
-                batch_loss += loss / len(batch)
-            grads = model.grads()
-            clip_grad_norm(grads, config.clip_norm)
-            lr = onecycle_lr(schedule, step)
-            adamw_step(state, params, grads, lr)
-            losses.append(batch_loss)
-            step += 1
-        oa, macc, miou = evaluate(model, test_set)
-        log.append({
-            "epoch": epoch,
-            "step": step,
-            "lr": onecycle_lr(schedule, min(step, schedule.total_steps)),
-            "train_loss": float(np.mean(losses)),
-            "eval_oa": oa,
-            "eval_macc": macc,
-            "eval_miou": miou,
-        })
-        if config.early_stop_oa is not None and oa >= config.early_stop_oa:
-            break
+    try:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(train_set))
+            losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start:start + config.batch_size]
+                model.zero_grads()
+                batch_loss = 0.0
+                for si in batch:
+                    prep = train_set[si]
+                    logits = model.forward(prep, training=True, rng=rng)
+                    loss, d_logits = cross_entropy(logits, model.targets(prep))
+                    model.backward(d_logits / len(batch))
+                    batch_loss += loss / len(batch)
+                grads = model.grads()
+                clip_grad_norm(grads, config.clip_norm)
+                lr = onecycle_lr(schedule, step)
+                adamw_step(state, params, grads, lr)
+                losses.append(batch_loss)
+                step += 1
+            oa, macc, miou = evaluate(model, test_set)
+            log.append({
+                "epoch": epoch,
+                "step": step,
+                "lr": onecycle_lr(schedule, min(step, schedule.total_steps)),
+                "train_loss": float(np.mean(losses)),
+                "eval_oa": oa,
+                "eval_macc": macc,
+                "eval_miou": miou,
+            })
+            if config.early_stop_oa is not None and oa >= config.early_stop_oa:
+                break
+    except FloatingPointError as exc:
+        raise TrainingFault(f"diverged: {exc}", step=step) from exc
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(log[0].keys()))

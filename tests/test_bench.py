@@ -245,6 +245,7 @@ def with_setting(section, key, value):
     ("train", "network", "sigma_factor", "1e300", "2 sigma^2 = inf"),
     ("train", "network", "sigma_factor", "1e-300", "2 sigma^2 = 0"),
     ("train", "data", "noise_sigma", "1e300", "cell_size 0.3 "),
+    ("train", "data", "noise_sigma", "1e308", "noise_sigma 1e+308 "),
     ("neigh-stats", "network", "initial_cell", "1e-300", "cell_size 1e-300 "),
 ])
 def test_cli_degenerate_geometry_exits_2(command, section, key, value, fault, tmp_path, capsys):
@@ -260,6 +261,21 @@ def test_cli_degenerate_geometry_exits_2(command, section, key, value, fault, tm
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and fault in err[0]
+
+
+@pytest.mark.parametrize("key", ["max_lr", "weight_decay"])
+def test_cli_diverged_training_exits_2(key, tmp_path, capsys):
+    """A first update scaled by 1e300 overflows the next forward: one
+    `error:` line naming the step and exit 2, with no traceback and no
+    warning."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(with_setting("training", key, "1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: diverged: ") and "(step 1)" in err[0]
 
 
 def test_grid_records_a_degenerate_kernel_as_a_failed_row(tmp_path, capsys):

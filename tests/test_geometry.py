@@ -353,34 +353,39 @@ def test_knn_widens_until_no_row_is_tied(monkeypatch, scattered, widths):
     assert calls[1][0].tobytes() == support.positions[tied].tobytes()
 
 
-SKEW = 1.0 + 1e-12
-
-
 class SkewedTree(cKDTree):
-    """A KD-tree whose distances sit a relative 1e-12 above the norm, as a
-    tree summing squares in another order could place them: it reports
-    kNN distances that high and keeps a pair within radius r only where
-    its own distance, norm * SKEW, is <= r."""
+    """A KD-tree whose distances sit a relative 1e-12 off the norm, above or
+    below it as `skew` says, as a tree summing squares in another order
+    could place them: it reports kNN distances and swept pair distances v
+    at norm * skew, and keeps a pair within radius r only where its own
+    distance, norm * skew, is <= r."""
+
+    skew = 1.0
 
     def query(self, x, *args, **kwargs):
         d, i = super().query(x, *args, **kwargs)
-        return d * SKEW, i
+        return d * self.skew, i
 
     def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
-        return super().sparse_distance_matrix(other, max_distance / SKEW, *args, **kwargs)
+        pairs = super().sparse_distance_matrix(other, max_distance / self.skew, *args, **kwargs)
+        pairs["v"] *= self.skew
+        return pairs
 
 
-def test_neighbors_exact_when_tree_distances_differ_from_the_norm(monkeypatch):
-    """The radii handed to the tree and the kNN window check carry enough
-    slack for a tree whose distances are not the norm's to the last bit."""
+@pytest.mark.parametrize("skew", [1.0 + 1e-12, 1.0 - 1e-12], ids=["above", "below"])
+def test_neighbors_exact_when_tree_distances_differ_from_the_norm(monkeypatch, skew):
+    """The tree decides only what it clears by more than the slack, and the
+    radii handed to it carry the slack, for a tree whose distances sit
+    above or below the norm's."""
+    monkeypatch.setattr(SkewedTree, "skew", skew)
     monkeypatch.setattr(geometry, "cKDTree", SkewedTree)
     rng = np.random.default_rng(6)
-    for case in ("lattice", "duplicates", "tie_mix"):
+    for case in ("lattice", "duplicates", "tie_mix", "offset_1e6"):
         for query, support in clouds(case, rng):
             for k in (1, 2, 7, 19, 27):
                 nl = knn(query, support, k)
                 assert as_lists(nl) == [e.tolist() for e in brute_knn(query, support, k)]
-            for r in (0.25, 0.5):
+            for r in (0.1, 0.25, 0.5):
                 nl = ball_query(query, support, r)
                 assert as_lists(nl) == [e.tolist() for e in brute_ball(query, support, r)]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pne.errors import ParamFileError
-from pne.geometry import PointCloud
+from pne.geometry import PointCloud, ball_query, knn
 from pne.network import (
     ClassificationNetwork,
     EmbeddingSpec,
@@ -64,6 +64,48 @@ def test_settled_grads_equal_the_per_cloud_sum(network, embedding, sizes, seed):
             assert np.abs(g - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
         else:
             assert g.tobytes() == ref[k].tobytes(), k
+
+
+# sums of three squares: the squared radii of the shells of a unit lattice
+SHELLS = (1, 2, 3, 4, 5, 6, 8, 9)
+
+
+@st.composite
+def lattice_clouds(draw):
+    """(query, support): an n^3 lattice at one of several spacings, with
+    some points duplicated, shuffled and offset by up to 1e6; the query is
+    the support itself or the lattice's cell centres."""
+    n = draw(st.integers(2, 4))
+    spacing = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0, 0.7, 2.0]))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    axis = np.arange(n) * spacing
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    copies = draw(st.lists(st.integers(0, len(grid) - 1), max_size=len(grid)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    points = np.concatenate([grid, grid[copies]])
+    support = PointCloud(points[rng.permutation(len(points))] + offset)
+    if draw(st.booleans()):
+        return support, support, spacing
+    centres = grid[np.all(grid < axis[-1], axis=1)] + spacing / 2
+    return PointCloud(centres + offset), support, spacing
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(clouds=lattice_clouds(), data=st.data())
+def test_neighbor_search_equals_brute_force(clouds, data):
+    """kNN and ball query on lattices, where most distances tie, list the
+    neighbors the exact norm lists: kNN ties break toward the smallest
+    index, and ball query includes its boundary, for every k from 1 to N+1
+    and for radii on the lattice's shells."""
+    query, support, spacing = clouds
+    k = data.draw(st.integers(1, len(support) + 1), label="k")
+    radius = spacing * float(np.sqrt(data.draw(st.sampled_from(SHELLS), label="shell")))
+    got_knn, got_ball = knn(query, support, k), ball_query(query, support, radius)
+    for i, q in enumerate(query.positions):
+        d = np.linalg.norm(support.positions - q, axis=1)
+        nearest = np.sort(np.lexsort((np.arange(len(d)), d))[:k])
+        assert got_knn.neighbors(i).tolist() == nearest.tolist()
+        assert got_ball.neighbors(i).tolist() == np.flatnonzero(d <= radius).tolist()
 
 
 def _valid_param_file():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from pne import numerics
 from pne.errors import ShapeError, StatisticsError, TrainingFault
 from pne.training import (
     ONECYCLE_DIV,
@@ -270,3 +273,33 @@ def test_train_loop_reads_the_task_from_the_model():
     metrics.update(model.forward(preps[2]).argmax(axis=1), preps[2].clouds[0].labels)
     final = tuple(log[-1][k] for k in ("eval_oa", "eval_macc", "eval_miou"))
     assert evaluate(model, preps[2:]) == metrics_compute(metrics) == final
+
+
+@pytest.mark.parametrize("setting", [dict(max_lr=1e300), dict(weight_decay=1e300)])
+def test_train_loop_faults_when_a_run_diverges(setting):
+    """An update scaled by 1e300 overflows the next forward: the run ends in
+    a TrainingFault naming the steps taken, with no warning."""
+    model, train, test = _toy_setup(seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingFault, match=r"^diverged: overflow") as err:
+            train_loop(model, train, test, TrainConfig(epochs=2, batch_size=4, **setting))
+    assert err.value.step == 1
+
+
+def test_train_loop_faults_on_an_inf_no_operation_flagged(monkeypatch):
+    """An inf that reaches an activation without a numpy overflow, as a
+    scipy sparse product can leave one, ends the run in a TrainingFault too."""
+    model, train, test = _toy_setup(seed=8)
+    forward, calls = model.forward, []
+
+    def forward_then_inf(prep, **kwargs):
+        calls.append(prep)
+        if len(calls) > 4:      # the second step's first cloud
+            numerics.activation_forward(numerics.GELU, np.array([np.inf]))
+        return forward(prep, **kwargs)
+
+    monkeypatch.setattr(model, "forward", forward_then_inf)
+    with pytest.raises(TrainingFault, match="activation input must be finite") as err:
+        train_loop(model, train, test, TrainConfig(epochs=1, batch_size=4))
+    assert err.value.step == 1
