@@ -4,19 +4,24 @@ Grammar:
   * sections in brackets: ``[section]``
   * assignments: ``key = value`` (one per line)
   * comments start with ``#``; blank lines ignored
-  * list values are comma-separated
+  * list values are comma-separated, at least one of them
 
-Parse errors carry line numbers; value errors carry the ``section.key``
-path.
+Each setting and its bound are declared once, on its field of
+`ExperimentConfig` or of the `TrainConfig` it extends: `training.setting`
+names the section, the key when it is not the field's name, and the bound,
+and the annotation gives the type of the value or of each list element.
+`resolve_experiment` reads every field through its declaration, so a
+section or key that no field declares is an error too. Parse errors carry
+line numbers; value errors carry the ``section.key`` path.
 """
 
-import math
-from dataclasses import dataclass, field
+import dataclasses
+import typing
 
 from .embeddings import CORRELATION_KINDS
 from .errors import ConfigError, ParseError
 from .numerics import ACTIVATION_KINDS
-from .training import TrainConfig
+from .training import TrainConfig, setting
 
 
 def parse_config(text):
@@ -52,185 +57,116 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-class ConfigView:
-    """Typed access with key-path errors and defaults. Remembers every key
-    asked for, so that `unread_keys` names the ones nothing reads."""
-
-    def __init__(self, sections):
-        self.sections = sections
-        self.read = set()
-
-    def unread_keys(self):
-        return [f"{section}.{key}" for section, entries in self.sections.items()
-                for key in entries if (section, key) not in self.read]
-
-    def _raw(self, section, key, default):
-        self.read.add((section, key))
-        value = self.sections.get(section, {}).get(key)
-        return default if value is None else value
-
-    def get_str(self, section, key, default=None, choices=None):
-        value = self._raw(section, key, default)
-        if choices is not None and value not in choices:
-            raise ConfigError(f"expected one of {sorted(choices)}, got {value!r}",
-                              key=f"{section}.{key}")
-        return value
-
-    def get_float(self, section, key, default=None, positive=False):
-        value = self._raw(section, key, default)
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"not a number: {value!r}", key=f"{section}.{key}") from None
-        if positive and not 0 < value < math.inf:
-            raise ConfigError(f"must be finite and > 0, got {value}", key=f"{section}.{key}")
-        return value
-
-    def get_int(self, section, key, default=None, minimum=None):
-        value = self._raw(section, key, default)
-        if isinstance(value, str):
-            try:
-                value = int(value)
-            except ValueError:
-                raise ConfigError(f"not an integer: {value!r}", key=f"{section}.{key}") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"must be >= {minimum}, got {value}", key=f"{section}.{key}")
-        return value
-
-    def get_list(self, section, key, default=None, convert=str):
-        value = self._raw(section, key, default)
-        if isinstance(value, str):
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            try:
-                return [convert(v) for v in items]
-            except ValueError:
-                raise ConfigError(f"malformed list: {value!r}", key=f"{section}.{key}") from None
-        return value
+    """Parse the config file at `path`, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted as parse_config counts lines
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line=line) from None
+    return parse_config(text)
 
 
 EMBEDDING_NAMES = (tuple(f"kp:{c}" for c in CORRELATION_KINDS)
                    + tuple(f"mlp:{a}" for a in ACTIVATION_KINDS) + ("none",))
 NEIGHBORHOOD_NAMES = ("ball_query", "knn")
+SWEEP_CORRELATIONS = ("triangular", "gaussian")  # the RBF correlations
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig(TrainConfig):
     """Fully resolved benchmark configuration (defaults are desk scale). The
     [training] settings are the inherited `TrainConfig` fields."""
 
-    task: str = "classification"
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
-    embeddings: list = field(default_factory=lambda: list(EMBEDDING_NAMES))
-    neighborhoods: list = field(default_factory=lambda: list(NEIGHBORHOOD_NAMES))
-    # network
-    widths: list = field(default_factory=lambda: [16, 32, 64])
-    blocks: list = field(default_factory=lambda: [1, 1, 1])
-    initial_cell: float = 0.2
-    embed_dim: int = 16
-    mlp_dim: int = 16
-    sigma_factor: float = 1.0
-    ball_scale: float = 2.0
-    knn_k: int = 16
-    drop_path_max: float = 0.0
-    # data
-    train_per_class: int = 200
-    test_per_class: int = 50
-    points: int = 256
-    noise_sigma: float = 0.01
-    data_seed: int = 0
-    num_scenes: int = 20
-    # sigma sweep
-    sweep_factors: list = field(default_factory=lambda: [0.25, 0.5, 1.0, 2.0, 4.0])
-    sweep_correlations: list = field(default_factory=lambda: ["triangular", "gaussian"])
+    task: str = setting("classification", "experiment", ("classification", "segmentation"))
+    seeds: list[int] = setting([0, 1, 2], "experiment", 0)
+    embeddings: list[str] = setting(list(EMBEDDING_NAMES), "experiment", EMBEDDING_NAMES)
+    neighborhoods: list[str] = setting(list(NEIGHBORHOOD_NAMES), "experiment",
+                                       NEIGHBORHOOD_NAMES)
+    widths: list[int] = setting([16, 32, 64], "network", 1)
+    blocks: list[int] = setting([1, 1, 1], "network", 0)
+    initial_cell: float = setting(0.2, "network", "(0, inf)")
+    embed_dim: int = setting(16, "network", 1)
+    mlp_dim: int = setting(16, "network", 1)
+    sigma_factor: float = setting(1.0, "network", "(0, inf)")
+    ball_scale: float = setting(2.0, "network", "(0, inf)")
+    knn_k: int = setting(16, "network", 1)
+    drop_path_max: float = setting(0.0, "network", "[0, 1)")
+    train_per_class: int = setting(200, "data", 1)
+    test_per_class: int = setting(50, "data", 1)
+    points: int = setting(256, "data", 1)
+    noise_sigma: float = setting(0.01, "data", "[0, inf)")
+    data_seed: int = setting(0, "data", 0, key="seed")
+    num_scenes: int = setting(20, "data", 1)
+    sweep_factors: list[float] = setting([0.25, 0.5, 1.0, 2.0, 4.0], "sigma_sweep", "(0, inf)",
+                                         key="factors")
+    sweep_correlations: list[str] = setting(list(SWEEP_CORRELATIONS), "sigma_sweep",
+                                            SWEEP_CORRELATIONS, key="correlations")
 
     def to_dict(self):
         return dict(self.__dict__)
 
 
-def resolve_experiment(sections):
-    """Build an ExperimentConfig from parsed sections, validating values."""
-    v = ConfigView(sections)
-    cfg = ExperimentConfig()
-    cfg.task = v.get_str("experiment", "task", cfg.task,
-                         choices={"classification", "segmentation"})
-    cfg.seeds = v.get_list("experiment", "seeds", cfg.seeds, convert=int)
-    if not cfg.seeds:
-        raise ConfigError("need at least one seed", key="experiment.seeds")
-    if min(cfg.seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {min(cfg.seeds)}", key="experiment.seeds")
-    cfg.embeddings = v.get_list("experiment", "embeddings", cfg.embeddings)
-    for e in cfg.embeddings:
-        if e not in EMBEDDING_NAMES:
-            raise ConfigError(f"unknown embedding {e!r}", key="experiment.embeddings")
-    cfg.neighborhoods = v.get_list("experiment", "neighborhoods", cfg.neighborhoods)
-    for n in cfg.neighborhoods:
-        if n not in NEIGHBORHOOD_NAMES:
-            raise ConfigError(f"unknown neighborhood {n!r}", key="experiment.neighborhoods")
+def _within(value, interval):
+    """Whether `value` lies in `interval`, written like "[0, 1)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < value or interval[0] == "[" and value == lo)
+            and (value < hi or interval[-1] == "]" and value == hi))
 
-    cfg.widths = v.get_list("network", "widths", cfg.widths, convert=int)
-    if not cfg.widths or min(cfg.widths) < 1:
-        raise ConfigError("need at least one level, every width >= 1", key="network.widths")
-    cfg.blocks = v.get_list("network", "blocks", cfg.blocks, convert=int)
+
+def _value(kind, bound, text, path):
+    """`text` as a `kind`, checked against the field's `bound`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"not {noun}: {text!r}", key=path) from None
+    if kind is int and not value >= bound:
+        raise ConfigError(f"must be >= {bound}, got {value}", key=path)
+    if kind is float and not _within(value, bound):
+        raise ConfigError(f"must be in {bound}, got {value}", key=path)
+    if kind is str and value not in bound:
+        raise ConfigError(f"expected one of {list(bound)}, got {value!r}", key=path)
+    return value
+
+
+def resolve_experiment(sections):
+    """Build an ExperimentConfig from parsed sections: every field reads
+    and checks its value as its `setting` declares, then the two rules
+    that span fields apply, then any undeclared section or key is an
+    error."""
+    cfg = ExperimentConfig()
+    declared = set()
+    for f in dataclasses.fields(cfg):
+        section, key = f.metadata["section"], f.metadata["key"] or f.name
+        declared.add((section, key))
+        text = sections.get(section, {}).get(key)
+        if text is None:
+            continue
+        path, bound = f"{section}.{key}", f.metadata["bound"]
+        if typing.get_origin(f.type) is list:
+            (kind,) = typing.get_args(f.type)
+            value = [_value(kind, bound, item.strip(), path)
+                     for item in text.split(",") if item.strip()]
+            if not value:
+                raise ConfigError("need at least one value", key=path)
+        else:
+            value = _value(f.type, bound, text, path)
+        setattr(cfg, f.name, value)
+
     if len(cfg.widths) != len(cfg.blocks):
         raise ConfigError("widths and blocks must have equal length", key="network.blocks")
-    if min(cfg.blocks) < 0:
-        raise ConfigError("block counts must be >= 0", key="network.blocks")
-    cfg.initial_cell = v.get_float("network", "initial_cell", cfg.initial_cell, positive=True)
-    cfg.embed_dim = v.get_int("network", "embed_dim", cfg.embed_dim, minimum=1)
-    cfg.mlp_dim = v.get_int("network", "mlp_dim", cfg.mlp_dim, minimum=1)
-    cfg.sigma_factor = v.get_float("network", "sigma_factor", cfg.sigma_factor, positive=True)
-    cfg.ball_scale = v.get_float("network", "ball_scale", cfg.ball_scale, positive=True)
-    cfg.knn_k = v.get_int("network", "knn_k", cfg.knn_k, minimum=1)
-    cfg.drop_path_max = v.get_float("network", "drop_path_max", cfg.drop_path_max)
-    if not 0.0 <= cfg.drop_path_max < 1.0:
-        raise ConfigError("must be in [0, 1)", key="network.drop_path_max")
-
-    cfg.epochs = v.get_int("training", "epochs", cfg.epochs, minimum=1)
-    cfg.batch_size = v.get_int("training", "batch_size", cfg.batch_size, minimum=1)
-    cfg.max_lr = v.get_float("training", "max_lr", cfg.max_lr, positive=True)
-    cfg.weight_decay = v.get_float("training", "weight_decay", cfg.weight_decay)
-    if not 0.0 <= cfg.weight_decay < math.inf:
-        raise ConfigError("must be finite and >= 0", key="training.weight_decay")
-    cfg.clip_norm = v.get_float("training", "clip_norm", cfg.clip_norm, positive=True)
-    cfg.warmup_fraction = v.get_float("training", "warmup_fraction", cfg.warmup_fraction)
-    if not 0.0 < cfg.warmup_fraction < 1.0:
-        raise ConfigError("must be in (0, 1)", key="training.warmup_fraction")
-    cfg.early_stop_oa = v.get_float("training", "early_stop_oa", cfg.early_stop_oa)
-    if cfg.early_stop_oa is not None and not 0.0 <= cfg.early_stop_oa <= 1.0:
-        raise ConfigError("must be in [0, 1]", key="training.early_stop_oa")
-
-    cfg.train_per_class = v.get_int("data", "train_per_class", cfg.train_per_class, minimum=1)
-    cfg.test_per_class = v.get_int("data", "test_per_class", cfg.test_per_class, minimum=1)
-    cfg.points = v.get_int("data", "points", cfg.points, minimum=1)
-    cfg.noise_sigma = v.get_float("data", "noise_sigma", cfg.noise_sigma)
-    if not 0.0 <= cfg.noise_sigma < math.inf:
-        raise ConfigError("must be finite and >= 0", key="data.noise_sigma")
-    cfg.data_seed = v.get_int("data", "seed", cfg.data_seed, minimum=0)
-    cfg.num_scenes = v.get_int("data", "num_scenes", cfg.num_scenes, minimum=1)
     if cfg.task == "segmentation" and cfg.num_scenes < 2:
         # the 80/20 scene split needs one scene on each side
         raise ConfigError(f"segmentation needs >= 2 scenes, got {cfg.num_scenes}",
                           key="data.num_scenes")
-
-    cfg.sweep_factors = v.get_list("sigma_sweep", "factors", cfg.sweep_factors, convert=float)
-    if not all(0 < f < math.inf for f in cfg.sweep_factors):
-        raise ConfigError("every factor must be finite and > 0", key="sigma_sweep.factors")
-    cfg.sweep_correlations = v.get_list("sigma_sweep", "correlations", cfg.sweep_correlations)
-    for c in cfg.sweep_correlations:
-        if c not in ("triangular", "gaussian"):
-            raise ConfigError(f"sigma sweep needs an RBF correlation, got {c!r}",
-                              key="sigma_sweep.correlations")
-
-    known = {"experiment", "network", "training", "data", "sigma_sweep"}
-    for section in sections:
+    known = {section for section, _ in declared}
+    for section, entries in sections.items():
         if section not in known:
             raise ConfigError("unknown section", key=section)
-    unknown = v.unread_keys()
-    if unknown:
-        raise ConfigError("unknown key", key=unknown[0])
+        for key in entries:
+            if (section, key) not in declared:
+                raise ConfigError("unknown key", key=f"{section}.{key}")
     return cfg

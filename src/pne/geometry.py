@@ -115,13 +115,14 @@ def cell_average_subsample(cloud, cell_size):
     integer coordinates. Returns the subsampled cloud.
     """
     _check_positive("cell_size", cell_size)
-    scaled = cloud.positions / cell_size
-    largest = np.abs(scaled).max(initial=0.0)
+    # rounded division is monotone, so this is the largest |coordinate| the
+    # division below gives; in Python floats an overflow is inf, not a warning
+    largest = float(np.abs(cloud.positions).max(initial=0.0)) / float(cell_size)
     if not largest < 2.0**63:
         raise DegenerateInputError(f"cell_size {cell_size!r} is too small for this cloud: "
                                    f"the largest |position|/cell_size, {largest:.6g}, "
                                    "overflows int64 cell coordinates")
-    coords = np.floor(scaled).astype(np.int64)
+    coords = np.floor(cloud.positions / cell_size).astype(np.int64)
     order = np.lexsort(coords.T[::-1])
     ranked = coords[order]
     first = np.ones(len(order), dtype=bool)

@@ -445,9 +445,18 @@ class Encoder(Module):
         every search on that level; the trees are dropped when this returns,
         so the prepared sample holds none. `direct1` would repeat the search
         of `up0` (query level 0, support level 1, level 1's radius or k), so
-        it is the same site object."""
+        it is the same site object. A cloud whose extent overflows float64
+        raises DegenerateInputError before its features are formed."""
         if len(cloud) == 0:
             raise DegenerateInputError("input cloud is empty")
+        lo, hi = cloud.positions.min(axis=0), cloud.positions.max(axis=0)
+        with np.errstate(over="ignore"):
+            extent = hi - lo
+        if not np.all(extent < np.inf):
+            axis = int(np.argmax(extent))
+            raise DegenerateInputError(
+                f"the cloud's extent on axis {'xyz'[axis]}, from {lo[axis]:.6g} to "
+                f"{hi[axis]:.6g}, overflows float64")
         cfg = self.config
         cur = PointCloud(cloud.positions, features=default_input_features(cloud),
                          labels=cloud.labels)

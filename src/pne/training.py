@@ -170,17 +170,29 @@ def metrics_compute(metrics):
     return oa, macc, miou
 
 
+def setting(default, section, bound, key=None):
+    """A config field: its `[section]`, its key there when that is not the
+    field's name, and its bound. The field's type, or its elements' for a
+    list, says what the bound is: an int's minimum, a float's interval such
+    as "(0, 1]", or a str's allowed names. Each instance gets its own copy
+    of a list default."""
+    metadata = {"section": section, "key": key, "bound": bound}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class TrainConfig:
     """The recipe's settings, declared once: `ExperimentConfig` extends it."""
 
-    epochs: int = 50
-    batch_size: int = 16
-    max_lr: float = 0.005
-    warmup_fraction: float = 0.3
-    weight_decay: float = 1e-4
-    clip_norm: float = 100.0
-    early_stop_oa: float = None  # stop once eval OA reaches this
+    epochs: int = setting(50, "training", 1)
+    batch_size: int = setting(16, "training", 1)
+    max_lr: float = setting(0.005, "training", "(0, inf)")
+    warmup_fraction: float = setting(0.3, "training", "(0, 1)")
+    weight_decay: float = setting(1e-4, "training", "[0, inf)")
+    clip_norm: float = setting(100.0, "training", "(0, inf)")
+    early_stop_oa: float = setting(None, "training", "[0, 1]")  # stop once eval OA reaches this
 
 
 def evaluate(model, samples):

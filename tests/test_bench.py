@@ -230,6 +230,24 @@ def test_cli_rejects_negative_seeds_in_config(command, text, key, tmp_path, monk
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("train", "experiment", "embeddings"),
+    ("grid", "experiment", "neighborhoods"),
+    ("sigma-sweep", "sigma_sweep", "factors"),
+    ("sigma-sweep", "sigma_sweep", "correlations"),
+])
+def test_cli_rejects_an_empty_list_setting(command, section, key, tmp_path, capsys):
+    """A list setting with no value is a config error (exit 2) in one line
+    naming its key, not an IndexError or an empty CSV."""
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text(f"[{section}]\n{key} =\n")
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {section}.{key}: need at least one value"]
+    assert not (tmp_path / "run").exists()
+
+
 def with_setting(section, key, value):
     """TINY_CFG_TEXT with `key = value` in [section], replacing any `key`."""
     lines = [line for line in TINY_CFG_TEXT.splitlines() if not line.startswith(f"{key} =")]
@@ -246,6 +264,8 @@ def with_setting(section, key, value):
     ("train", "network", "sigma_factor", "1e-300", "2 sigma^2 = 0"),
     ("train", "data", "noise_sigma", "1e300", "cell_size 0.3 "),
     ("train", "data", "noise_sigma", "1e308", "noise_sigma 1e+308 "),
+    ("train", "data", "noise_sigma", "2e307", "cell_size 0.3 "),
+    ("train", "data", "noise_sigma", "3e307", "overflows float64"),
     ("neigh-stats", "network", "initial_cell", "1e-300", "cell_size 1e-300 "),
 ])
 def test_cli_degenerate_geometry_exits_2(command, section, key, value, fault, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import pytest
 
+from pne import cli
 from pne.config import (
     EMBEDDING_NAMES,
-    ConfigView,
     ExperimentConfig,
     load_config,
     parse_config,
@@ -64,24 +64,16 @@ def test_load_config(tmp_path):
     assert load_config(path) == parse_config(SAMPLE)
 
 
-def test_view_typed_access_and_key_paths():
-    v = ConfigView(parse_config("[a]\nx = 1.5\nn = 7\nwords = p, q\n"))
-    assert v.get_float("a", "x") == 1.5
-    assert v.get_int("a", "n") == 7
-    assert v.get_list("a", "words") == ["p", "q"]
-    assert v.get_str("a", "missing", default="d") == "d"
-    with pytest.raises(ConfigError) as err:
-        v.get_int("a", "x")
-    assert err.value.key == "a.x"
-    with pytest.raises(ConfigError) as err:
-        v.get_float("a", "words")
-    assert err.value.key == "a.words"
-    with pytest.raises(ConfigError) as err:
-        v.get_list("a", "words", convert=int)
-    assert err.value.key == "a.words"
-    with pytest.raises(ConfigError) as err:
-        v.get_str("a", "x", choices={"p"})
-    assert err.value.key == "a.x"
+def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    """A file that is not UTF-8 is a ParseError naming the line of its first
+    bad byte, and `pne` exits 2 with one line."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"[experiment]\r\n# caf\xe9 \xff\nseeds = 0\n")
+    with pytest.raises(ParseError, match="0xe9") as err:
+        load_config(path)
+    assert err.value.line == 2
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 2: not UTF-8: byte 0xe9"]
 
 
 def test_resolve_defaults():
@@ -177,6 +169,11 @@ def test_resolve_overrides():
     ("[training]\nepoch = 3\n", "training.epoch"),
     ("[training]\ndrop_path_max = nan\n", "training.drop_path_max"),
     ("[network]\nwidths = 4\nblocks = 1\nwidth = 8\n", "network.width"),
+    ("[network]\nwidths = 4, x\nblocks = 1, 1\n", "network.widths"),
+    ("[experiment]\nembeddings =\n", "experiment.embeddings"),
+    ("[experiment]\nneighborhoods = ,\n", "experiment.neighborhoods"),
+    ("[sigma_sweep]\nfactors =\n", "sigma_sweep.factors"),
+    ("[sigma_sweep]\ncorrelations =\n", "sigma_sweep.correlations"),
 ])
 def test_resolve_validation_errors(text, key):
     with pytest.raises(ConfigError) as err:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -101,6 +103,15 @@ def test_subsample_rejects_cell_coordinates_beyond_int64():
     cloud = PointCloud(np.array([[1e12, 0.0, 0.0], [-1e12, 0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"cell_size 1e-07 .* 1e\+19"):
         cell_average_subsample(cloud, 1e-7)
+
+
+def test_subsample_rejects_an_overflowing_division_without_a_warning():
+    # 1e308 / 0.1 overflows float64 before it could reach int64
+    cloud = PointCloud(np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"cell_size 0.1 .*, inf,"):
+            cell_average_subsample(cloud, 0.1)
 
 
 def unique_subsample(cloud, cell_size):

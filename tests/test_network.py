@@ -1,5 +1,6 @@
 import gc
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,17 @@ def test_empty_cloud_rejected():
     enc = Encoder(make_config(), seed=0)
     with pytest.raises(DegenerateInputError):
         enc.prepare(PointCloud(np.zeros((0, 3))))
+
+
+def test_cloud_whose_extent_overflows_is_rejected_without_a_warning():
+    """Heights from -1e308 to 1e308 would overflow the height feature:
+    prepare raises first, naming the axis and its range."""
+    positions = np.array([[0.0, 0.0, -1e308], [0.0, 0.0, 1e308], [1e308, 0.0, 0.0]])
+    enc = Encoder(make_config(), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match=r"axis z, from -1e\+308 to 1e\+308"):
+            enc.prepare(PointCloud(positions))
 
 
 def test_classification_logits_shape_and_determinism():

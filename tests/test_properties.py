@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pne.errors import ParamFileError
+from pne import bench
+from pne.config import parse_config, resolve_experiment
+from pne.errors import ConfigError, ParamFileError, ParseError
 from pne.geometry import PointCloud, ball_query, knn
 from pne.network import (
     ClassificationNetwork,
@@ -153,3 +155,52 @@ def test_load_params_returns_tensors_or_raises_param_file_error(param_path, muta
     except ParamFileError:
         return
     assert all(isinstance(v, np.ndarray) for v in loaded.values())
+
+
+# the keys `resolve_experiment` reads, by section
+CONFIG_KEYS = {
+    "experiment": ["task", "seeds", "embeddings", "neighborhoods"],
+    "network": ["widths", "blocks", "initial_cell", "embed_dim", "mlp_dim", "sigma_factor",
+                "ball_scale", "knn_k", "drop_path_max"],
+    "training": ["epochs", "batch_size", "max_lr", "warmup_fraction", "weight_decay",
+                 "clip_norm", "early_stop_oa"],
+    "data": ["train_per_class", "test_per_class", "points", "noise_sigma", "seed",
+             "num_scenes"],
+    "sigma_sweep": ["factors", "correlations"],
+}
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["", " ", "nan", "-nan", "inf", "-inf", "-0", "0", "1", "2", "-1", "0.5",
+                     "1e-3", "x", "é", "１", "٣", "0, 1", "1, 1", "4, x", ",", "0,,1",
+                     "kp:gaussian", "mlp:relu, none", "knn", "ball_query, knn", "gaussian",
+                     "triangular, gaussian", "box", "segmentation", "classification"]),
+    # no decimal digits, so no text names a size large enough to build slowly
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6))
+
+
+@st.composite
+def config_texts(draw):
+    """Config text over known and unknown sections and keys, with hostile
+    values; in half the texts a section or a key may repeat."""
+    names = st.sampled_from(list(CONFIG_KEYS) + ["extra", "Network", "dáta"])
+    unique = draw(st.booleans())
+    lines = []
+    for section in draw(st.lists(names, max_size=3, unique=unique)):
+        lines.append(f"[{section}]")
+        keys = CONFIG_KEYS.get(section, []) + ["epoch", "drop_path_max", "ké"]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=unique)):
+            lines.append(f"{key} = {draw(HOSTILE_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=config_texts())
+def test_config_text_resolves_or_raises_a_config_error(text):
+    """Every config text gives an ExperimentConfig or a ConfigError or
+    ParseError, never another exception. A resolved config has a value in
+    every list setting and builds the model of its first grid cell."""
+    try:
+        cfg = resolve_experiment(parse_config(text))
+    except (ConfigError, ParseError):
+        return
+    assert all(value for value in cfg.to_dict().values() if isinstance(value, list))
+    bench._build_model(cfg, cfg.embeddings[0], cfg.neighborhoods[0], cfg.seeds[0])
