@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import NEIGHBORHOOD_NAMES
 from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
-from .embeddings import KernelPointEmbedding, default_kernel_layout, icosahedron_kernel_points
 from .errors import ConfigError
 from .geometry import cell_average_subsample, farthest_distances
 from .network import (
@@ -27,6 +26,7 @@ from .network import (
     EncoderConfig,
     NeighborhoodSpec,
     SegmentationNetwork,
+    build_embedding,
 )
 from .training import train_loop
 
@@ -211,10 +211,9 @@ def cmd_grid(cfg, out_dir):
 
 
 def triangular_zero_support_fraction(radius, sigma_factor, n_samples=20000, seed=0):
-    """Fraction of receptive-field offsets whose Triangular embedding is
-    all-zero (support smaller than the receptive field)."""
-    shell, sigma = default_kernel_layout(radius, sigma_factor)
-    emb = KernelPointEmbedding(icosahedron_kernel_points(shell), sigma, "triangular")
+    """Fraction of the offsets within `radius` whose Triangular embedding, as
+    a conv of that receptive radius builds it, is all-zero (support too small)."""
+    emb = build_embedding(EmbeddingSpec("kp:triangular", sigma_factor=sigma_factor), radius, seed=0)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -231,7 +230,7 @@ def cmd_sigma_sweep(cfg, out_dir):
                           key="experiment.task")
     os.makedirs(out_dir, exist_ok=True)
     preps = prepare_splits(cfg, "ball_query", build_datasets(cfg))
-    radius = cfg.ball_scale * cfg.initial_cell
+    radius = neighborhood_spec_from_name("ball_query", cfg).receptive_radius(cfg.initial_cell)
     rows = []
     for correlation in cfg.sweep_correlations:
         for factor in cfg.sweep_factors:

@@ -57,15 +57,16 @@ def parse_config(text):
 
 
 def load_config(path):
-    """Parse the config file at `path`, which must be UTF-8."""
+    """Parse the config file at `path`: UTF-8, with or without a byte-order mark."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the line of the first bad byte, counted as parse_config counts lines
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line=line) from None
+        # the line of the first bad byte, counted as parse_config counts lines,
+        # in exc.object: the bytes after any byte-order mark
+        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x}", line=line) from None
     return parse_config(text)
 
 

@@ -18,7 +18,7 @@ query: it takes every pair within a slightly widened radius from one sweep
 of a query tree against the support tree, keeps the pairs the tree places
 clearly inside and re-measures the rest. A call builds the trees it needs,
 unless its caller passes `_trees`, a dict that keeps each cloud's tree for
-the calls that follow: `Encoder.prepare` builds one tree per pyramid level
+the calls that follow: `Network.prepare` builds one tree per pyramid level
 that way, and drops them all when it returns.
 
 Conventions that tests rely on:

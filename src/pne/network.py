@@ -20,6 +20,10 @@ is part of it too: `save_params` writes tensors in that order,
 parameters in it. That is why `children()` lists submodules explicitly
 rather than in the order the constructor builds them.
 
+The geometry is declared the same way: each conv states its site name and
+its (query, support, search) pyramid levels in its construction call, and
+`Network.prepare` builds the sites from those declarations alone.
+
 Conv gradients settle at the walk. A conv's backward adds its K_eff-space
 gradient d_K_eff into a pending sum, one array add per cloud. The walk
 splits each pending sum through P and kappa into the kernel and projection
@@ -170,7 +174,8 @@ class LayerNorm(Module):
 
 
 class ConvModule(Module):
-    """A ConvLayer bound to a named geometry site of the prepared sample.
+    """A ConvLayer bound to the site `site_name` of the prepared sample,
+    which `Network.prepare` builds from `levels` (see `_conv_module`).
     `memo`, which an owner sets for the span of its own forward, is the
     dict through which convs sharing a site and an embedding object embed
     the site's pairs once. `_pending` is the summed d_K_eff of the backwards
@@ -179,9 +184,10 @@ class ConvModule(Module):
     memo = None
     _pending = None
 
-    def __init__(self, layer, site_name):
+    def __init__(self, layer, site_name, levels):
         self.layer = layer
         self.site_name = site_name
+        self.levels = levels
         self.g_kernel = np.zeros_like(layer.kernel)
         self.g_projection = np.zeros_like(layer.projection)
         self.g_bias = np.zeros_like(layer.bias)
@@ -372,8 +378,8 @@ class EncoderConfig:
             raise ValueError("widths and blocks_per_level must have equal length")
         if min(self.blocks_per_level) < 0:
             raise ValueError(f"blocks_per_level: counts must be >= 0, got {self.blocks_per_level}")
-        if self.initial_cell <= 0:
-            raise ValueError("initial_cell must be positive")
+        if not 0.0 < self.initial_cell < math.inf:
+            raise ValueError(f"initial_cell must be positive and finite, got {self.initial_cell}")
 
     @property
     def num_levels(self):
@@ -404,49 +410,36 @@ def default_input_features(cloud):
     return np.stack([np.ones(len(cloud)), z - z.min()], axis=1)
 
 
-def _conv_module(config, rng, level, d_in, d_out, site_name):
-    """A point conv bound to `site_name`, its embedding sized for the
-    receptive radius of pyramid level `level`. Draws the embedding seed,
-    then the layer seed, from `rng`."""
-    radius = config.neighborhood.receptive_radius(config.level_cell(level))
+def _conv_module(config, rng, site_name, levels, d_in, d_out):
+    """A point conv on site `site_name` over pyramid `levels`, (query,
+    support, search): the search level's cell sizes both the search and the
+    embedding. Draws the embedding seed, then the layer seed, from `rng`."""
+    radius = config.neighborhood.receptive_radius(config.level_cell(levels[2]))
     emb = build_embedding(config.embedding, radius, seed=rng.integers(2**31))
     layer = init_conv_layer(emb, d_in, d_out, config.embed_dim, seed=rng.integers(2**31))
-    return ConvModule(layer, site_name)
+    return ConvModule(layer, site_name, levels)
 
 
-class Encoder(Module):
-    def __init__(self, config, seed=0):
-        self.config = config
-        rng = np.random.default_rng(seed)
-        self.init_linear = Linear.init(IN_FEATURES, config.widths[0], rng)
-        self.levels = []
-        self.transitions = []
-        total_blocks = sum(config.blocks_per_level)
-        depth = 0
-        for lvl in range(config.num_levels):
-            width = config.widths[lvl]
-            blocks = []
-            for _ in range(config.blocks_per_level[lvl]):
-                rate = 0.0
-                if total_blocks > 1:
-                    rate = config.drop_path_max * depth / (total_blocks - 1)
-                mixer = _conv_module(config, rng, lvl, width, width, f"self{lvl}")
-                blocks.append(MetaformerBlock(mixer, width, rng, drop_path_rate=rate))
-                depth += 1
-            self.levels.append(blocks)
-            if lvl + 1 < config.num_levels:
-                self.transitions.append(_conv_module(
-                    config, rng, lvl + 1, width, config.widths[lvl + 1], f"down{lvl}"))
+def _convs(module):
+    """The ConvModules under `module`, in `children()` order."""
+    if isinstance(module, ConvModule):
+        yield module
+    for _, child in module.children():
+        yield from _convs(child)
 
-    def prepare(self, cloud, for_decoder=False):
-        """Build the pyramid and every neighbor site this network will use.
+
+class Network(Module):
+    """A module that prepares the clouds its `forward` reads."""
+
+    def prepare(self, cloud):
+        """Build the pyramid and the sites the convs below declare: one site
+        per distinct `levels`, filed under the `site_name` of each conv that
+        declares them, so `direct1`, declared as `up0` is, is `up0`'s site.
 
         Each level's KD-tree is built once, on its first search, and serves
         every search on that level; the trees are dropped when this returns,
-        so the prepared sample holds none. `direct1` would repeat the search
-        of `up0` (query level 0, support level 1, level 1's radius or k), so
-        it is the same site object. A cloud whose extent overflows float64
-        raises DegenerateInputError before its features are formed."""
+        so the prepared sample holds none. A cloud whose extent overflows
+        float64 raises DegenerateInputError before its features are formed."""
         if len(cloud) == 0:
             raise DegenerateInputError("input cloud is empty")
         lo, hi = cloud.positions.min(axis=0), cloud.positions.max(axis=0)
@@ -466,23 +459,40 @@ class Encoder(Module):
             if len(cur) == 0:
                 raise DegenerateInputError(f"pyramid level {lvl} is empty")
             clouds.append(cur)
-        trees = {}
-
-        def site(query, support, lvl):
-            nl = cfg.neighborhood.search(query, support, cfg.level_cell(lvl), trees)
-            return make_site(query, support, nl)
-
-        sites = {}
-        for lvl in range(cfg.num_levels):
-            sites[f"self{lvl}"] = site(clouds[lvl], clouds[lvl], lvl)
-            if lvl + 1 < cfg.num_levels:
-                sites[f"down{lvl}"] = site(clouds[lvl + 1], clouds[lvl], lvl + 1)
-                if for_decoder:
-                    sites[f"up{lvl}"] = site(clouds[lvl], clouds[lvl + 1], lvl + 1)
-            if for_decoder and lvl >= 1:
-                sites[f"direct{lvl}"] = (sites["up0"] if lvl == 1 else
-                                         site(clouds[0], clouds[lvl], lvl))
+        trees, by_levels, sites = {}, {}, {}
+        for conv in _convs(self):
+            if conv.levels not in by_levels:
+                query, support, search = conv.levels
+                nl = cfg.neighborhood.search(clouds[query], clouds[support],
+                                             cfg.level_cell(search), trees)
+                by_levels[conv.levels] = make_site(clouds[query], clouds[support], nl)
+            sites[conv.site_name] = by_levels[conv.levels]
         return PreparedSample(clouds=clouds, sites=sites)
+
+
+class Encoder(Network):
+    def __init__(self, config, seed=0):
+        self.config = config
+        rng = np.random.default_rng(seed)
+        self.init_linear = Linear.init(IN_FEATURES, config.widths[0], rng)
+        self.levels = []
+        self.transitions = []
+        total_blocks = sum(config.blocks_per_level)
+        depth = 0
+        for lvl in range(config.num_levels):
+            width = config.widths[lvl]
+            blocks = []
+            for _ in range(config.blocks_per_level[lvl]):
+                rate = 0.0
+                if total_blocks > 1:
+                    rate = config.drop_path_max * depth / (total_blocks - 1)
+                mixer = _conv_module(config, rng, f"self{lvl}", (lvl, lvl, lvl), width, width)
+                blocks.append(MetaformerBlock(mixer, width, rng, drop_path_rate=rate))
+                depth += 1
+            self.levels.append(blocks)
+            if lvl + 1 < config.num_levels:
+                self.transitions.append(_conv_module(
+                    config, rng, f"down{lvl}", (lvl + 1, lvl, lvl + 1), width, config.widths[lvl + 1]))
 
     def forward(self, prep, training=False, rng=None):
         """Returns the post-block feature map of every level."""
@@ -529,19 +539,13 @@ def classify(per_level_feats, head, training=False):
     return head.forward(pooled, training=training)
 
 
-class ClassificationNetwork(Module):
+class ClassificationNetwork(Network):
     def __init__(self, config, num_classes, seed=0):
         self.num_classes = num_classes
         self.encoder = Encoder(config, seed=seed)
         rng = np.random.default_rng(np.random.default_rng(seed).integers(2**31) + 1)
         self.head = Linear.init(config.widths[-1], num_classes, rng)
-
-    @property
-    def config(self):
-        return self.encoder.config
-
-    def prepare(self, cloud):
-        return self.encoder.prepare(cloud)
+        self.config = config
 
     def targets(self, prep):
         """The class of each row of `forward(prep)`: the cloud's label."""
@@ -576,12 +580,14 @@ class Decoder(Module):
         final_width = config.widths[0]
         self.skips = [Linear.init(config.widths[l], config.widths[l], rng) for l in range(num)]
         self.upconvs = [
-            _conv_module(config, rng, lvl + 1, config.widths[lvl + 1], config.widths[lvl], f"up{lvl}")
+            _conv_module(config, rng, f"up{lvl}", (lvl, lvl + 1, lvl + 1),
+                         config.widths[lvl + 1], config.widths[lvl])
             for lvl in range(num - 1)
         ]
         self.direct0 = Linear.init(config.widths[0], final_width, rng)
         self.directs = [
-            _conv_module(config, rng, lvl, config.widths[lvl], final_width, f"direct{lvl}")
+            _conv_module(config, rng, f"direct{lvl}", (0, lvl, lvl),
+                         config.widths[lvl], final_width)
             for lvl in range(1, num)
         ]
         self.final = Linear.init(final_width, num_classes, rng)
@@ -636,7 +642,7 @@ class Decoder(Module):
         )
 
 
-class SegmentationNetwork(Module):
+class SegmentationNetwork(Network):
     """Encoder + skip-connection decoder; logits live on the first
     down-scaled cloud (its majority labels are the training targets)."""
 
@@ -644,13 +650,7 @@ class SegmentationNetwork(Module):
         self.num_classes = num_classes
         self.encoder = Encoder(config, seed=seed)
         self.decoder = Decoder(config, num_classes, seed=np.random.default_rng(seed).integers(2**31) + 7)
-
-    @property
-    def config(self):
-        return self.encoder.config
-
-    def prepare(self, cloud):
-        return self.encoder.prepare(cloud, for_decoder=True)
+        self.config = config
 
     def targets(self, prep):
         """The class of each row of `forward(prep)`: the level-0 labels."""

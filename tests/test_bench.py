@@ -113,16 +113,16 @@ def test_sigma_sweep_rows_and_support(tmp_path, monkeypatch):
 
 
 def test_sigma_sweep_prepares_each_cloud_once(tmp_path, monkeypatch):
-    from pne.network import Encoder
+    from pne.network import Network
 
     calls = []
-    real = Encoder.prepare
+    real = Network.prepare
 
     def counting(self, cloud, **kw):
         calls.append(cloud)
         return real(self, cloud, **kw)
 
-    monkeypatch.setattr(Encoder, "prepare", counting)
+    monkeypatch.setattr(Network, "prepare", counting)
     cfg = tiny_cfg(seeds=[0, 1], sweep_factors=[0.25, 1.0], sweep_correlations=["triangular"])
     _, rows = bench.cmd_sigma_sweep(cfg, str(tmp_path))
     assert len(rows) == 4  # 2 factors x 2 seeds

@@ -76,6 +76,18 @@ def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: line 2: not UTF-8: byte 0xe9"]
 
 
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark is not part of the first line, and a bad
+    byte after it keeps its own byte value and line number."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"))
+    assert load_config(path) == parse_config(SAMPLE)
+    path.write_bytes(b"\xef\xbb\xbf[experiment]\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="byte 0xe9") as err:
+        load_config(path)
+    assert err.value.line == 2
+
+
 def test_resolve_defaults():
     cfg = resolve_experiment({})
     base = ExperimentConfig()

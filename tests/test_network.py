@@ -153,21 +153,9 @@ def reachable(root):
     return out
 
 
-def site_clouds(name, clouds):
-    """(query cloud, support cloud, level that sets the radius) of a site."""
-    kind, lvl = name[:-1], int(name[-1])
-    if kind == "self":
-        return clouds[lvl], clouds[lvl], lvl
-    if kind == "down":
-        return clouds[lvl + 1], clouds[lvl], lvl + 1
-    if kind == "up":
-        return clouds[lvl], clouds[lvl + 1], lvl + 1
-    return clouds[0], clouds[lvl], lvl
-
-
 @pytest.mark.parametrize("kind", ["ball_query", "knn"])
 @pytest.mark.parametrize("network", [ClassificationNetwork, SegmentationNetwork])
-def test_prepare_builds_one_tree_per_level(monkeypatch, kind, network):
+def test_prepare_builds_one_tree_per_level(monkeypatch, site_clouds, kind, network):
     monkeypatch.setattr(geometry, "cKDTree", CountedTree)
     monkeypatch.setattr(CountedTree, "built", 0)
     cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
@@ -186,6 +174,25 @@ def test_prepare_builds_one_tree_per_level(monkeypatch, kind, network):
                 else knn(query, support, 5))
         assert np.array_equal(site.neighbors.offsets, want.offsets)
         assert np.array_equal(site.neighbors.indices, want.indices)
+
+
+@pytest.mark.parametrize("blocks", [[1, 1, 1], [0, 1, 2]], ids=["blocks111", "blocks012"])
+@pytest.mark.parametrize("kind", ["ball_query", "knn"])
+@pytest.mark.parametrize("network", [ClassificationNetwork, SegmentationNetwork])
+def test_prepare_builds_the_sites_its_convs_declare(monkeypatch, network, kind, blocks):
+    """`prepare` files a site under every site name a conv of the network
+    declares and under no other, so a level without blocks has no self
+    site, and it still builds one KD-tree per level."""
+    monkeypatch.setattr(geometry, "cKDTree", CountedTree)
+    monkeypatch.setattr(CountedTree, "built", 0)
+    cfg = make_config(widths=[4, 6, 8], blocks_per_level=blocks, initial_cell=0.2,
+                      neighborhood=NeighborhoodSpec(kind, k=5, scale=2.0))
+    net = network(cfg, num_classes=3, seed=0)
+    prep = net.prepare(random_cloud(300, seed=8))
+    declared = {m.site_name for m in _modules(net) if isinstance(m, ConvModule)}
+    assert set(prep.sites) == declared
+    assert ("self0" in prep.sites) == (blocks[0] > 0)
+    assert CountedTree.built == 3
 
 
 def test_default_input_features():
@@ -586,6 +593,16 @@ def test_config_validation():
         make_config(initial_cell=0.0)
     with pytest.raises(ValueError):
         MetaformerBlock(None, 4, np.random.default_rng(0), drop_path_rate=1.0)
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+def test_config_rejects_a_non_finite_initial_cell(cell):
+    """A NaN or infinite initial cell fails at construction, before any
+    kernel layout is computed from it, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^initial_cell must be positive and finite"):
+            make_config(initial_cell=cell)
 
 
 @pytest.mark.parametrize("widths, blocks, field", [
