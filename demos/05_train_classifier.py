@@ -21,7 +21,7 @@ from pne.datagen import make_classification_dataset
 cfg = EncoderConfig(
     initial_cell=0.2,
     widths=[16, 32],
-    blocks_per_level=[1, 1],
+    blocks=[1, 1],
     neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
     embedding=EmbeddingSpec("kp:gaussian"),
     embed_dim=16,

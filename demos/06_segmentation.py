@@ -20,7 +20,7 @@ from pne.datagen import make_segmentation_dataset
 cfg = EncoderConfig(
     initial_cell=0.25,
     widths=[16, 32, 64],
-    blocks_per_level=[1, 1, 1],
+    blocks=[1, 1, 1],
     neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
     embedding=EmbeddingSpec("kp:gaussian"),
     embed_dim=16,

@@ -8,6 +8,7 @@ the wall-clock column is forced to zero (it is the only nondeterministic
 column).
 """
 
+import copy
 import csv
 import dataclasses
 import json
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from .config import NEIGHBORHOOD_NAMES
+from .config import NEIGHBORHOOD_NAMES, NetworkSettings
 from .datagen import SHAPE_KINDS, make_classification_dataset, make_segmentation_dataset
 from .errors import ConfigError
 from .geometry import cell_average_subsample, farthest_distances
@@ -48,15 +49,9 @@ def neighborhood_spec_from_name(name, cfg):
 
 
 def encoder_config(cfg, embedding_spec, neighborhood_spec):
-    return EncoderConfig(
-        initial_cell=cfg.initial_cell,
-        widths=list(cfg.widths),
-        blocks_per_level=list(cfg.blocks),
-        neighborhood=neighborhood_spec,
-        embedding=embedding_spec,
-        embed_dim=cfg.embed_dim,
-        drop_path_max=cfg.drop_path_max,
-    )
+    """The network of `cfg`: a copy of each of its `NetworkSettings` fields."""
+    shape = {f.name: copy.copy(getattr(cfg, f.name)) for f in dataclasses.fields(NetworkSettings)}
+    return EncoderConfig(neighborhood=neighborhood_spec, embedding=embedding_spec, **shape)
 
 
 def build_datasets(cfg):
@@ -89,7 +84,7 @@ def prepare_dataset(model, samples, segmentation):
     return preps
 
 
-def _build_model(cfg, emb_name, neigh_name, seed):
+def build_model(cfg, emb_name, neigh_name, seed):
     """Both synthetic datasets label points and clouds by SHAPE_KINDS index."""
     spec = embedding_spec_from_name(emb_name, cfg)
     nspec = neighborhood_spec_from_name(neigh_name, cfg)
@@ -100,10 +95,10 @@ def _build_model(cfg, emb_name, neigh_name, seed):
 
 
 def prepare_splits(cfg, neigh_name, datasets):
-    """The (train, test) prepared samples of `datasets` for one neighborhood.
-    Sites do not depend on the embedding or the seed, so one preparation
-    serves every cell of that neighborhood."""
-    ref = _build_model(cfg, "none", neigh_name, seed=0)
+    """The prepared samples of each split in `datasets`, (train, test) or
+    fewer, for one neighborhood. Sites do not depend on the embedding or the
+    seed, so one preparation serves every model of that neighborhood."""
+    ref = build_model(cfg, "none", neigh_name, seed=0)
     segmentation = cfg.task == "segmentation"
     return tuple(prepare_dataset(ref, split, segmentation) for split in datasets)
 
@@ -112,7 +107,7 @@ def run_cell(cfg, emb_name, neigh_name, seed, preps):
     """Train and evaluate one grid cell on `preps`, its (train, test)
     prepared samples. Returns a result-row dict."""
     start = time.perf_counter()
-    model = _build_model(cfg, emb_name, neigh_name, seed)
+    model = build_model(cfg, emb_name, neigh_name, seed)
     train, test = preps
     _, log = train_loop(model, train, test, cfg, seed=seed)
     final = log[-1]

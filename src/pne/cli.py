@@ -9,12 +9,13 @@ across reruns.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import bench
 from .config import (EMBEDDING_NAMES, NEIGHBORHOOD_NAMES, ExperimentConfig, load_config,
-                     resolve_experiment)
+                     read_setting, resolve_experiment)
 from .errors import (ConfigError, DegenerateInputError, ParamFileError, ParseError,
                      TrainingFault)
 from .gradcheck import format_report, gradient_check_report
@@ -35,17 +36,13 @@ def _load_experiment(args):
     return cfg
 
 
-def _seed_list(text):
-    """--seeds: comma-separated integers >= 0, at least one, as experiment.seeds."""
+def _seeds(text):
+    """--seeds, read as a config file's experiment.seeds."""
+    (field,) = (f for f in dataclasses.fields(ExperimentConfig) if f.name == "seeds")
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("need at least one seed")
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {min(seeds)}")
-    return seeds
+        return read_setting(field, text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _csv_command(run):
@@ -70,11 +67,8 @@ def cmd_train(args):
     neigh = args.neighborhood or cfg.neighborhoods[0]
     seed = cfg.seeds[0]
     os.makedirs(args.out, exist_ok=True)
-    segmentation = cfg.task == "segmentation"
-    model = bench._build_model(cfg, emb, neigh, seed)
-    train_raw, test_raw = bench.build_datasets(cfg)
-    train = bench.prepare_dataset(model, train_raw, segmentation)
-    test = bench.prepare_dataset(model, test_raw, segmentation)
+    model = bench.build_model(cfg, emb, neigh, seed)
+    train, test = bench.prepare_splits(cfg, neigh, bench.build_datasets(cfg))
     params, log = train_loop(model, train, test, cfg, seed=seed,
                              log_path=os.path.join(args.out, "log.csv"))
     save_params(os.path.join(args.out, "model.bin"), params)
@@ -89,7 +83,7 @@ def cmd_eval(args):
     emb = args.embedding or cfg.embeddings[0]
     neigh = args.neighborhood or cfg.neighborhoods[0]
     # the seed does not matter: every parameter is overwritten from the file
-    model = bench._build_model(cfg, emb, neigh, seed=0)
+    model = bench.build_model(cfg, emb, neigh, seed=0)
     saved = load_params(args.params)
     params = model.params()
     missing = sorted(set(params) ^ set(saved))
@@ -100,8 +94,7 @@ def cmd_eval(args):
             raise ParamFileError(f"saved shape {saved[name].shape}, model {p.shape}",
                                  tensor=name)
         p[...] = saved[name]
-    _, test_raw = bench.build_datasets(cfg)
-    test = bench.prepare_dataset(model, test_raw, cfg.task == "segmentation")
+    (test,) = bench.prepare_splits(cfg, neigh, bench.build_datasets(cfg)[1:])
     oa, macc, miou = evaluate(model, test)
     print(f"oa={oa:.6f} macc={macc:.6f} miou={miou:.6f}")
     return 0
@@ -114,7 +107,7 @@ def build_parser():
     flags = {
         "--config": dict(default=None, help="experiment config file"),
         "--out": dict(default="out", help="output directory"),
-        "--seeds": dict(default=None, type=_seed_list, help="comma-separated seed list"),
+        "--seeds": dict(default=None, type=_seeds, help="comma-separated seed list"),
         "--embedding": dict(default=None, choices=EMBEDDING_NAMES),
         "--neighborhood": dict(default=None, choices=NEIGHBORHOOD_NAMES),
         "--params": dict(required=True, help="model.bin path"),

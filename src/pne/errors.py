@@ -12,7 +12,8 @@ class StatisticsError(ValueError):
 class DegenerateInputError(ValueError):
     """A point cloud or a geometry setting is unusable: an empty pyramid
     level, cell coordinates beyond int64, a kernel sigma whose 2 sigma^2 is
-    0 or inf."""
+    0 or inf, a neighbor search over clouds too large or too small in
+    extent."""
 
 
 class ParseError(ValueError):

@@ -21,6 +21,11 @@ unless its caller passes `_trees`, a dict that keeps each cloud's tree for
 the calls that follow: `Network.prepare` builds one tree per pyramid level
 that way, and drops them all when it returns.
 
+Both searches raise DegenerateInputError when the joint extent of query
+and support is nonzero and outside [2^-500, 2^500]: past it the squared
+distances overflow or go subnormal, and the answer would not be the one
+the same cloud gives at unit scale.
+
 Conventions that tests rely on:
   * neighbor indices are stored sorted ascending within each query range;
   * kNN ties at the k-th distance break toward the smallest support index;
@@ -161,6 +166,35 @@ def cell_average_subsample(cloud, cell_size):
 _SLACK = 1e-9
 
 
+# Where the joint extent of a search's clouds lies in [2^-E, 2^E], their
+# squared distances neither overflow nor, unless separations are far below
+# the extent, go subnormal: the search answers as at unit scale, since a
+# power of two scales every difference, square, sum and root exactly.
+_EXTENT_EXPONENT = 500
+
+
+def _bounds(cloud, trees):
+    """Per-axis (min, max) of `cloud`, read from its tree in `trees` if any."""
+    tree = trees.get(id(cloud))
+    if tree is not None:
+        return tree.mins, tree.maxes
+    positions = cloud.positions
+    return positions.min(axis=0, initial=np.inf), positions.max(axis=0, initial=-np.inf)
+
+
+def _check_extent(query, support, trees):
+    """Raise DegenerateInputError unless the joint extent of `query` and
+    `support`, their largest coordinate range, is 0 or in [2^-E, 2^E]."""
+    (qlo, qhi), (slo, shi) = _bounds(query, trees), _bounds(support, trees)
+    with np.errstate(over="ignore"):
+        extent = float(np.max(np.maximum(qhi, shi) - np.minimum(qlo, slo)))
+    e = _EXTENT_EXPONENT
+    if extent and not 2.0**-e <= extent <= 2.0**e:
+        raise DegenerateInputError(f"query and support span {extent:.6g}, outside "
+                                   f"[2^-{e}, 2^{e}]: their squared distances would "
+                                   "overflow or lose precision")
+
+
 def _check_positive(name, value):
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -245,7 +279,9 @@ def knn(query, support, k, *, _trees=None):
         raise ValueError("support cloud must be non-empty")
     take = min(k, len(support))
     width = min(take + 1, len(support))
-    tree = _tree(support, {} if _trees is None else _trees)
+    trees = {} if _trees is None else _trees
+    tree = _tree(support, trees)
+    _check_extent(query, support, trees)
     nearest, rows = _window(tree, query.positions, support, take, width)
     while len(rows):
         width = min(2 * width, len(support))
@@ -268,8 +304,10 @@ def ball_query(query, support, radius, *, _trees=None):
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
     trees = {} if _trees is None else _trees
-    pairs = _tree(query, trees).sparse_distance_matrix(
-        _tree(support, trees), radius * (1.0 + _SLACK), output_type="ndarray")
+    query_tree, support_tree = _tree(query, trees), _tree(support, trees)
+    _check_extent(query, support, trees)
+    pairs = query_tree.sparse_distance_matrix(support_tree, radius * (1.0 + _SLACK),
+                                              output_type="ndarray")
     qid, idx = pairs["i"], pairs["j"]
     inside = np.ones(len(pairs), dtype=bool)
     near = np.flatnonzero(pairs["v"] > radius / (1.0 + _SLACK))

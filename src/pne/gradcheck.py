@@ -219,7 +219,7 @@ def _toy_config():
     return EncoderConfig(
         initial_cell=0.3,
         widths=[4, 6],
-        blocks_per_level=[1, 1],
+        blocks=[1, 1],
         neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
         embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=4,

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .config import EMBEDDING_NAMES, NEIGHBORHOOD_NAMES
+from .config import EMBEDDING_NAMES, NEIGHBORHOOD_NAMES, NetworkSettings
 from .embeddings import (
     IdentityEmbedding,
     KernelPointEmbedding,
@@ -362,24 +362,12 @@ class NeighborhoodSpec:
 
 
 @dataclass
-class EncoderConfig:
-    initial_cell: float
-    widths: list
-    blocks_per_level: list
+class EncoderConfig(NetworkSettings):
+    """The network's shape, the settings an `ExperimentConfig` holds too, and
+    the neighborhood and embedding of every conv."""
+
     neighborhood: NeighborhoodSpec
     embedding: EmbeddingSpec
-    embed_dim: int = 16
-    drop_path_max: float = 0.0
-
-    def __post_init__(self):
-        if not self.widths or min(self.widths) < 1:
-            raise ValueError(f"widths: need one level or more, each >= 1, got {self.widths}")
-        if len(self.widths) != len(self.blocks_per_level):
-            raise ValueError("widths and blocks_per_level must have equal length")
-        if min(self.blocks_per_level) < 0:
-            raise ValueError(f"blocks_per_level: counts must be >= 0, got {self.blocks_per_level}")
-        if not 0.0 < self.initial_cell < math.inf:
-            raise ValueError(f"initial_cell must be positive and finite, got {self.initial_cell}")
 
     @property
     def num_levels(self):
@@ -477,12 +465,12 @@ class Encoder(Network):
         self.init_linear = Linear.init(IN_FEATURES, config.widths[0], rng)
         self.levels = []
         self.transitions = []
-        total_blocks = sum(config.blocks_per_level)
+        total_blocks = sum(config.blocks)
         depth = 0
         for lvl in range(config.num_levels):
             width = config.widths[lvl]
             blocks = []
-            for _ in range(config.blocks_per_level[lvl]):
+            for _ in range(config.blocks[lvl]):
                 rate = 0.0
                 if total_blocks > 1:
                     rate = config.drop_path_max * depth / (total_blocks - 1)

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -20,6 +21,29 @@ def _site_clouds(name, clouds):
 def site_clouds():
     """The clouds of a named site, for tests that search them on their own."""
     return _site_clouds
+
+
+def _dense_conv_all(layer, nl, offsets, features, formula):
+    """The paper's formula query by query: every (pair, channel) term formed
+    and summed directly, as the benchmark's dense conv oracle does. The
+    "sum" formula is the literal sum over N(x); "mean" divides it by |N(x)|."""
+    rows = []
+    for q in range(nl.num_queries):
+        lo, hi = nl.offsets[q], nl.offsets[q + 1]
+        out = np.zeros(layer.out_features)
+        if hi > lo:
+            g = layer.embedding.embed(offsets[lo:hi]) @ layer.projection   # (T, E_c)
+            out = np.einsum("tc,coe,te->o", features[nl.indices[lo:hi]], layer.kernel, g)
+            if formula == "mean":
+                out = out / (hi - lo)
+        rows.append(out + layer.bias)
+    return np.array(rows)
+
+
+@pytest.fixture(scope="session")
+def dense_conv_all():
+    """The dense per-pair conv formula, for tests that check a conv against it."""
+    return _dense_conv_all
 
 
 def pytest_terminal_summary(terminalreporter):

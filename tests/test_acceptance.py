@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from pne.bench import (
-    _build_model,
     build_datasets,
+    build_model,
     prepare_dataset,
     pyramid_neighbor_stats,
     run_cell,
@@ -184,7 +184,7 @@ def test_criterion_4_convolution_properties():
 def test_criterion_5_desk_scale_learnability():
     cfg = ExperimentConfig()  # 800 train / 200 test, 256 points, 50 epochs
     datasets = build_datasets(cfg)
-    ref = _build_model(cfg, "none", "ball_query", seed=0)
+    ref = build_model(cfg, "none", "ball_query", seed=0)
     preps = (prepare_dataset(ref, datasets[0], False),
              prepare_dataset(ref, datasets[1], False))
     results = []

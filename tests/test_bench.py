@@ -432,12 +432,12 @@ def test_cli_rejects_unknown_model_names(flag, value, capsys):
 
 
 @pytest.mark.parametrize("argv, why", [
-    (["grid", "--seeds", "x"], "not a list of integers: 'x'"),
-    (["train", "--seeds", ","], "need at least one seed"),
-    (["grid", "--seeds", ","], "need at least one seed"),
-    (["grid", "--seeds=-2"], "seeds must be >= 0, got -2"),
-    (["train", "--seeds", "0,-1"], "seeds must be >= 0, got -1"),
-    (["sigma-sweep", "--seeds=3,-4"], "seeds must be >= 0, got -4"),
+    (["grid", "--seeds", "x"], "experiment.seeds: not an integer: 'x'"),
+    (["train", "--seeds", ","], "experiment.seeds: need at least one value"),
+    (["grid", "--seeds", ","], "experiment.seeds: need at least one value"),
+    (["grid", "--seeds=-2"], "experiment.seeds: must be >= 0, got -2"),
+    (["train", "--seeds", "0,-1"], "experiment.seeds: must be >= 0, got -1"),
+    (["sigma-sweep", "--seeds=3,-4"], "experiment.seeds: must be >= 0, got -4"),
 ])
 def test_cli_rejects_bad_seed_lists(argv, why, tmp_path, monkeypatch, capsys):
     """A --seeds value that experiment.seeds would reject is a usage error

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import struct
 import warnings
@@ -9,7 +10,8 @@ from scipy.spatial import cKDTree
 import pne.network as pne_network
 from pne import geometry, numerics, pointconv
 from pne.embeddings import icosahedron_kernel_points, icosahedron_shell_spacing
-from pne.errors import DegenerateInputError, MissingCacheError, ParamFileError
+from pne.config import ExperimentConfig, NetworkSettings, resolve_experiment
+from pne.errors import ConfigError, DegenerateInputError, MissingCacheError, ParamFileError
 from pne.geometry import PointCloud, ball_query, cell_average_subsample, knn
 from pne.network import (
     ClassificationNetwork,
@@ -32,7 +34,7 @@ def make_config(**overrides):
     base = dict(
         initial_cell=0.3,
         widths=[4, 6],
-        blocks_per_level=[1, 1],
+        blocks=[1, 1],
         neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
         embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=4,
@@ -79,7 +81,7 @@ def test_drop_path_zero_is_identity():
 def test_drop_path_branch_unbiased():
     """The per-branch keep factor is 0 or 1/(1-rate) with unit expectation,
     and a surviving branch reproduces the eval residual scaled accordingly."""
-    cfg = make_config(drop_path_max=0.5, widths=[4], blocks_per_level=[2])
+    cfg = make_config(drop_path_max=0.5, widths=[4], blocks=[2])
     enc = Encoder(cfg, seed=3)
     block = enc.levels[0][1]  # deepest block gets the max rate
     assert block.drop_path_rate == pytest.approx(0.5)
@@ -110,7 +112,7 @@ def test_drop_path_branch_unbiased():
 def test_drop_path_without_rng_names_the_site():
     """A training forward that draws drop path but has no rng raises a
     ValueError naming the block's site; inference draws nothing."""
-    cfg = make_config(drop_path_max=0.5, widths=[4], blocks_per_level=[2])
+    cfg = make_config(drop_path_max=0.5, widths=[4], blocks=[2])
     net = ClassificationNetwork(cfg, num_classes=3, seed=3)
     prep = net.prepare(random_cloud(40, seed=4))
     with pytest.raises(ValueError, match="site 'self0'.*needs rng"):
@@ -120,7 +122,7 @@ def test_drop_path_without_rng_names_the_site():
 
 def test_encoder_level_counts_match_bruteforce():
     cloud = random_cloud(200, seed=6)
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.25)
+    cfg = make_config(widths=[4, 6, 8], blocks=[1, 1, 1], initial_cell=0.25)
     enc = Encoder(cfg, seed=0)
     prep = enc.prepare(cloud)
     cur = cloud.positions
@@ -158,7 +160,7 @@ def reachable(root):
 def test_prepare_builds_one_tree_per_level(monkeypatch, site_clouds, kind, network):
     monkeypatch.setattr(geometry, "cKDTree", CountedTree)
     monkeypatch.setattr(CountedTree, "built", 0)
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
+    cfg = make_config(widths=[4, 6, 8], blocks=[1, 1, 1], initial_cell=0.2,
                       neighborhood=NeighborhoodSpec(kind, k=5, scale=2.0))
     net = network(cfg, num_classes=3, seed=0)
     prep = net.prepare(random_cloud(300, seed=8))
@@ -185,7 +187,7 @@ def test_prepare_builds_the_sites_its_convs_declare(monkeypatch, network, kind, 
     site, and it still builds one KD-tree per level."""
     monkeypatch.setattr(geometry, "cKDTree", CountedTree)
     monkeypatch.setattr(CountedTree, "built", 0)
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=blocks, initial_cell=0.2,
+    cfg = make_config(widths=[4, 6, 8], blocks=blocks, initial_cell=0.2,
                       neighborhood=NeighborhoodSpec(kind, k=5, scale=2.0))
     net = network(cfg, num_classes=3, seed=0)
     prep = net.prepare(random_cloud(300, seed=8))
@@ -246,7 +248,7 @@ def test_translation_invariance_with_aligned_cells():
 
 def test_single_point_pooling_identity():
     cloud = PointCloud(np.array([[0.1, 0.1, 0.1]]))
-    net = ClassificationNetwork(make_config(widths=[4], blocks_per_level=[1]),
+    net = ClassificationNetwork(make_config(widths=[4], blocks=[1]),
                                 num_classes=2, seed=12)
     prep = net.prepare(cloud)
     logits = net.forward(prep, training=True)
@@ -294,7 +296,7 @@ def _under(prefix, names):
     return [f"{prefix}.{n}" for n in names]
 
 
-# the model.bin tensor order of a 3-level net with blocks_per_level [2, 1, 2]:
+# the model.bin tensor order of a 3-level net with blocks [2, 1, 2]:
 # every encoder block comes before the first down transition
 ENCODER_NAMES = (
     _under("init", LINEAR)
@@ -314,7 +316,7 @@ NETWORKS = [
 
 
 def tree_config():
-    return make_config(widths=[4, 6, 8], blocks_per_level=[2, 1, 2],
+    return make_config(widths=[4, 6, 8], blocks=[2, 1, 2],
                        embedding=EmbeddingSpec("mlp:gelu", mlp_dim=4))
 
 
@@ -588,7 +590,7 @@ def test_load_rejects_a_shape_numpy_cannot_allocate(tmp_path, shape):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        make_config(widths=[4], blocks_per_level=[1, 1])
+        make_config(widths=[4], blocks=[1, 1])
     with pytest.raises(ValueError):
         make_config(initial_cell=0.0)
     with pytest.raises(ValueError):
@@ -601,18 +603,42 @@ def test_config_rejects_a_non_finite_initial_cell(cell):
     kernel layout is computed from it, and warns of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^initial_cell must be positive and finite"):
+        with pytest.raises(ValueError, match="^network.initial_cell: "):
             make_config(initial_cell=cell)
 
 
 @pytest.mark.parametrize("widths, blocks, field", [
     ([], [], "widths"),
     ([0, 4], [1, 1], "widths"),
-    ([4, 6], [-1, 1], "blocks_per_level"),
+    ([4, 6], [-1, 1], "blocks"),
 ])
 def test_config_rejects_degenerate_pyramid(widths, blocks, field):
-    with pytest.raises(ValueError, match=f"^{field}:"):
-        make_config(widths=widths, blocks_per_level=blocks)
+    with pytest.raises(ValueError, match=f"^network.{field}:"):
+        make_config(widths=widths, blocks=blocks)
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("drop_path_max", 7.0, r"must be in \[0, 1\), got 7.0"),
+    ("drop_path_max", float("nan"), r"must be in \[0, 1\), got nan"),
+    ("drop_path_max", 1.0, r"must be in \[0, 1\), got 1.0"),
+    ("embed_dim", 0, "must be >= 1, got 0"),
+])
+def test_config_checks_each_setting_as_a_config_file_does(key, value, why):
+    """A one-block network built with a setting its config key would reject
+    fails at construction with the config file's error, naming the key."""
+    with pytest.raises(ConfigError, match=f"^network.{key}: {why}$"):
+        make_config(widths=[8], blocks=[1], **{key: value})
+    with pytest.raises(ConfigError, match=f"^network.{key}: {why}$"):
+        resolve_experiment({"network": {"widths": "8", "blocks": "1", key: str(value)}})
+
+
+def test_config_takes_the_experiment_defaults():
+    """An encoder config built with only its embedding and neighborhood has
+    the network shape of the default experiment."""
+    cfg = EncoderConfig(neighborhood=NeighborhoodSpec("knn"), embedding=EmbeddingSpec("none"))
+    defaults = ExperimentConfig()
+    for f in dataclasses.fields(NetworkSettings):
+        assert getattr(cfg, f.name) == getattr(defaults, f.name)
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -658,7 +684,7 @@ def test_kernel_layout_per_conv(neighborhood, shell_at):
     1.2 r' for kNN, with r' = 1.5 cells the estimated average neighbor
     distance, and at 0.6 r for ball query, with r = scale cells, where the
     cell is that of the level that sets the site's radius."""
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], initial_cell=0.2,
+    cfg = make_config(widths=[4, 6, 8], blocks=[1, 1, 1], initial_cell=0.2,
                       neighborhood=neighborhood,
                       embedding=EmbeddingSpec("kp:triangular", sigma_factor=0.7))
     net = SegmentationNetwork(cfg, num_classes=3, seed=0)
@@ -704,7 +730,7 @@ def test_decoder_sites_contract_from_the_support_side(neighborhood, monkeypatch)
     coarser level than their query, and from the query side on the rest. A
     training forward and backward build no padded table, slot map or
     `from_pairs` on a support-side site."""
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1], neighborhood=neighborhood,
+    cfg = make_config(widths=[4, 6, 8], blocks=[1, 1, 1], neighborhood=neighborhood,
                       embedding=EmbeddingSpec("mlp:gelu", mlp_dim=4))
     net = SegmentationNetwork(cfg, num_classes=3, seed=25)
     prep = net.prepare(random_cloud(120, seed=25, labeled=True))
@@ -734,7 +760,7 @@ def test_up0_and_direct1_embed_their_site_once(embedding, monkeypatch):
     once; no memo is left when the forward returns, and logits and
     gradients equal, byte for byte, those of a decoder that embeds the site
     twice. A learnable embedding is not shared."""
-    cfg = make_config(widths=[4, 6, 8], blocks_per_level=[1, 1, 1],
+    cfg = make_config(widths=[4, 6, 8], blocks=[1, 1, 1],
                       embedding=EmbeddingSpec(embedding, mlp_dim=4))
     net = SegmentationNetwork(cfg, num_classes=3, seed=26)
     prep = net.prepare(random_cloud(120, seed=26, labeled=True))

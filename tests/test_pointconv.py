@@ -287,23 +287,6 @@ def test_make_site_rejects_lists_that_do_not_fit(offsets, indices, message):
         conv_backward(layer, query, support, nl, features, np.ones((3, 2)))
 
 
-def dense_conv_all(layer, nl, offsets, features, formula):
-    """The paper's formula query by query: every (pair, channel) term formed
-    and summed directly, as the benchmark's dense conv oracle does. The
-    "sum" formula is the literal sum over N(x); "mean" divides it by |N(x)|."""
-    rows = []
-    for q in range(nl.num_queries):
-        lo, hi = nl.offsets[q], nl.offsets[q + 1]
-        out = np.zeros(layer.out_features)
-        if hi > lo:
-            g = layer.embedding.embed(offsets[lo:hi]) @ layer.projection   # (T, E_c)
-            out = np.einsum("tc,coe,te->o", features[nl.indices[lo:hi]], layer.kernel, g)
-            if formula == "mean":
-                out = out / (hi - lo)
-        rows.append(out + layer.bias)
-    return np.array(rows)
-
-
 DENSE_SPECS = {
     "kp_box": EmbeddingSpec("kp:box"),
     "kp_triangular": EmbeddingSpec("kp:triangular"),
@@ -325,7 +308,7 @@ def dense_embedding(name):
 
 @pytest.mark.parametrize("formula", ["sum", "mean"])
 @pytest.mark.parametrize("name", sorted([*DENSE_SPECS, "kp_gaussian_grid3"]))
-def test_conv_matches_dense_formula(name, formula):
+def test_conv_matches_dense_formula(dense_conv_all, name, formula):
     """Forward output equals the dense per-pair formula, and every analytic
     gradient matches finite differences of it. Under "sum" the reference is
     the paper's literal sum over N(x): the conv's mean output, less the bias,

@@ -11,24 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pne import bench
-from pne.config import parse_config, resolve_experiment
+from pne.config import EMBEDDING_NAMES, parse_config, resolve_experiment
 from pne.errors import ConfigError, DegenerateInputError, ParamFileError, ParseError
-from pne.geometry import PointCloud, ball_query, knn
+from pne.geometry import NeighborList, PointCloud, ball_query, knn
 from pne.network import (
     ClassificationNetwork,
     EmbeddingSpec,
     EncoderConfig,
     NeighborhoodSpec,
     SegmentationNetwork,
+    build_embedding,
     load_params,
     save_params,
 )
+from pne.pointconv import _support_side, conv_forward, init_conv_layer, make_site
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 def _model(network, embedding):
-    config = EncoderConfig(initial_cell=0.3, widths=[4, 6], blocks_per_level=[1, 1],
+    config = EncoderConfig(initial_cell=0.3, widths=[4, 6], blocks=[1, 1],
                            neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
                            embedding=EmbeddingSpec(embedding, mlp_dim=4), embed_dim=4)
     return network(config, num_classes=3, seed=41)
@@ -96,9 +98,9 @@ def test_networks_on_hostile_clouds_give_finite_logits(site_clouds, network, kin
     coplanar, single-point, lattice, two-points-50-apart and 1e6-offset
     clouds give finite logits or DegenerateInputError, and every site holds
     the lists a search of its clouds by name gives. Coordinate scales below
-    about 1e-150 or above 1e150 are left out: there the searches themselves
-    still answer wrong or raise untyped errors."""
-    config = EncoderConfig(initial_cell=0.3, widths=[4, 6, 8], blocks_per_level=[1, 1, 1],
+    about 1e-150 or above 1e150 are left out: the scale property below
+    covers the searches there."""
+    config = EncoderConfig(initial_cell=0.3, widths=[4, 6, 8], blocks=[1, 1, 1],
                            neighborhood=NeighborhoodSpec(kind, k=5, scale=2.0),
                            embedding=EmbeddingSpec("kp:gaussian"), embed_dim=4)
     model = network(config, num_classes=3, seed=seed)
@@ -155,6 +157,82 @@ def test_neighbor_search_equals_brute_force(clouds, data):
         nearest = np.sort(np.lexsort((np.arange(len(d)), d))[:k])
         assert got_knn.neighbors(i).tolist() == nearest.tolist()
         assert got_ball.neighbors(i).tolist() == np.flatnonzero(d <= radius).tolist()
+
+
+@st.composite
+def dyadic_clouds(draw):
+    """(query, support, radius): up to 30 points on the 1/64 lattice of the
+    unit cube, duplicates likely, and a radius in 1/16 steps; the query is
+    the support itself or a cloud of its own. Every distance is then exact,
+    and stays so under scaling by 2^s while its squares stay normal."""
+    def cloud():
+        coords = draw(st.lists(st.tuples(*[st.integers(0, 64)] * 3), min_size=1, max_size=30))
+        return PointCloud(np.array(coords, dtype=np.float64) / 64.0)
+
+    support = cloud()
+    query = support if draw(st.booleans()) else cloud()
+    return query, support, draw(st.integers(1, 16)) / 16.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(clouds=dyadic_clouds(), k=st.integers(1, 8), s=st.integers(-1000, 1000))
+def test_neighbor_search_is_scale_free_or_raises(clouds, k, s):
+    """kNN and ball query on the clouds scaled by 2^s, the radius with them,
+    list the neighbors of the unscaled clouds or raise DegenerateInputError,
+    and list them for every |s| <= 490."""
+    query, support, radius = clouds
+    scaled = [PointCloud(c.positions * 2.0**s) for c in (query, support)]
+    if query is support:
+        scaled[0] = scaled[1]
+    for search, arg, scaled_arg in ((knn, k, k), (ball_query, radius, radius * 2.0**s)):
+        want = search(query, support, arg)
+        try:
+            got = search(*scaled, scaled_arg)
+        except DegenerateInputError:
+            assert abs(s) > 490, search.__name__
+            continue
+        assert got.offsets.tolist() == want.offsets.tolist(), search.__name__
+        assert got.indices.tolist() == want.indices.tolist(), search.__name__
+
+
+@st.composite
+def hostile_sites(draw, side):
+    """(query, support, neighbors) for a conv contracted on `side`: the
+    support side needs fewer support points than queries. One query has no
+    pair, one holds a pair twice, and the last support point is in none."""
+    m = draw(st.integers(3 if side == "support" else 2, 12))
+    n = draw(st.integers(2, m - 1) if side == "support" else st.integers(m, m + 6))
+    lists = draw(st.lists(st.lists(st.integers(0, n - 2), max_size=5),
+                          min_size=m - 2, max_size=m - 2))
+    twice = draw(st.integers(0, n - 2))
+    lists.insert(draw(st.integers(0, m - 2)), [twice, twice])
+    lists.insert(draw(st.integers(0, m - 1)), [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    offsets = np.cumsum([0] + [len(row) for row in lists])
+    indices = np.array([i for row in lists for i in row], dtype=np.int64)
+    return (PointCloud(rng.uniform(-0.5, 0.5, size=(m, 3))),
+            PointCloud(rng.uniform(-0.5, 0.5, size=(n, 3))), NeighborList(offsets, indices))
+
+
+@pytest.mark.parametrize("side", ["query", "support"])
+@pytest.mark.parametrize("embedding", EMBEDDING_NAMES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_conv_equals_the_dense_sum_on_hostile_sites(dense_conv_all, embedding, side, data, seed):
+    """`conv_forward` on drawn sites with an empty query, an unreferenced
+    support point and repeated pairs equals the dense per-pair mean within
+    1e-12 of the largest reference value, from either contraction side."""
+    query, support, nl = data.draw(hostile_sites(side), label="site")
+    rng = np.random.default_rng(seed)
+    emb = build_embedding(EmbeddingSpec(embedding, mlp_dim=8), 1.0, seed=seed)
+    layer = init_conv_layer(emb, 2, 3, embed_dim=8, seed=seed)
+    layer.bias = rng.standard_normal(3)
+    features = rng.standard_normal((len(support), 2))
+    assert _support_side(make_site(query, support, nl)) == (side == "support")
+    out = conv_forward(layer, query, support, nl, features)
+    offsets = support.positions[nl.indices] - query.positions[nl.query_ids()]
+    want = dense_conv_all(layer, nl, offsets, features, "mean")
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _valid_param_file():
@@ -250,4 +328,4 @@ def test_config_text_resolves_or_raises_a_config_error(text):
     except (ConfigError, ParseError):
         return
     assert all(value for value in cfg.to_dict().values() if isinstance(value, list))
-    bench._build_model(cfg, cfg.embeddings[0], cfg.neighborhoods[0], cfg.seeds[0])
+    bench.build_model(cfg, cfg.embeddings[0], cfg.neighborhoods[0], cfg.seeds[0])

@@ -1,7 +1,8 @@
 """Only the networks know their task: no other code of `pne` reads a
-prepared sample's targets (`<x>.label`, `<x>.clouds[...].labels`), and the
+prepared sample's targets (`<x>.label`, `<x>.clouds[...].labels`), the
 training settings are declared once, in `TrainConfig`, which
-`ExperimentConfig` extends."""
+`ExperimentConfig` extends, and the network's shape once, in
+`NetworkSettings`, which `ExperimentConfig` and `EncoderConfig` extend."""
 
 import ast
 import pathlib
@@ -56,6 +57,15 @@ def _own_fields(cls):
 def test_training_settings_are_declared_once():
     experiment = _class(SRC / "config.py", "ExperimentConfig")
     recipe = _class(SRC / "training.py", "TrainConfig")
-    assert [base.id for base in experiment.bases] == ["TrainConfig"]
-    assert _own_fields(recipe) and _own_fields(experiment)
-    assert _own_fields(experiment).isdisjoint(_own_fields(recipe))
+    shape = _class(SRC / "config.py", "NetworkSettings")
+    assert [base.id for base in experiment.bases] == ["TrainConfig", "NetworkSettings"]
+    assert _own_fields(recipe) and _own_fields(experiment) and _own_fields(shape)
+    assert _own_fields(experiment).isdisjoint(_own_fields(recipe) | _own_fields(shape))
+    assert _own_fields(recipe).isdisjoint(_own_fields(shape))
+
+
+def test_network_settings_are_declared_once():
+    encoder = _class(SRC / "network.py", "EncoderConfig")
+    shape = _class(SRC / "config.py", "NetworkSettings")
+    assert [base.id for base in encoder.bases] == ["NetworkSettings"]
+    assert _own_fields(encoder).isdisjoint(_own_fields(shape))

@@ -186,7 +186,7 @@ def _toy_setup(n_samples=10, seed=0):
     from pne.network import ClassificationNetwork, EmbeddingSpec, EncoderConfig, NeighborhoodSpec
 
     cfg = EncoderConfig(
-        initial_cell=0.3, widths=[8, 8], blocks_per_level=[1, 1],
+        initial_cell=0.3, widths=[8, 8], blocks=[1, 1],
         neighborhood=NeighborhoodSpec("ball_query", scale=2.0),
         embedding=EmbeddingSpec("kp:gaussian"),
         embed_dim=8,
@@ -262,7 +262,7 @@ def test_train_loop_reads_the_task_from_the_model():
     from pne.datagen import make_segmentation_dataset
     from pne.network import EmbeddingSpec, EncoderConfig, NeighborhoodSpec, SegmentationNetwork
 
-    cfg = EncoderConfig(initial_cell=0.3, widths=[4, 4], blocks_per_level=[1, 1],
+    cfg = EncoderConfig(initial_cell=0.3, widths=[4, 4], blocks=[1, 1],
                         neighborhood=NeighborhoodSpec("knn", k=4),
                         embedding=EmbeddingSpec("kp:gaussian"), embed_dim=4)
     model = SegmentationNetwork(cfg, num_classes=4, seed=0)
