@@ -1,6 +1,7 @@
 """Point-cloud convolutions with interchangeable neighborhood embeddings,
 plus the desk-scale benchmark harness around them."""
 
+from .config import TrainConfig
 from .embeddings import (
     BOX,
     GAUSSIAN,
@@ -45,7 +46,6 @@ from .training import (
     AdamWState,
     Metrics,
     OneCycleSchedule,
-    TrainConfig,
     adamw_step,
     clip_grad_norm,
     cross_entropy,

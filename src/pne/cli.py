@@ -31,9 +31,7 @@ def _config(args):
 
 def _load_experiment(args):
     cfg = _config(args)
-    if args.seeds is not None:
-        cfg.seeds = args.seeds
-    return cfg
+    return cfg if args.seeds is None else dataclasses.replace(cfg, seeds=args.seeds)
 
 
 def _seeds(text):

@@ -1,6 +1,6 @@
-"""Line-oriented experiment configuration.
+"""Settings: declaration, parsing and checks.
 
-Grammar:
+Grammar of a config file:
   * sections in brackets: ``[section]``
   * assignments: ``key = value`` (one per line)
   * comments start with ``#``; blank lines ignored
@@ -8,15 +8,15 @@ Grammar:
 
 Each setting and its bound are declared once, on its field of
 `ExperimentConfig` or of the `TrainConfig` and `NetworkSettings` it
-extends: `training.setting` names the section, the key when it is not the
-field's name, and the bound, and the annotation gives the type of the value
-or of each list element. `read_setting` reads a field's text through its
-declaration, and `resolve_experiment` reads every field so, so a section or
-key that no field declares is an error too. Constructing a
-`NetworkSettings`, which an `ExperimentConfig` and a network's
-`EncoderConfig` both are, checks every declared field against its bound.
-Parse errors carry line numbers; value errors carry the ``section.key``
-path.
+extends: `setting` names the section, the key when it is not the field's
+name, and the bound, and the annotation gives the type of the value or of
+each list element. Every settings type extends `Settings`, so
+constructing one, in code or from a file, checks each declared field
+against its bound and then the rules across its fields. `read_setting`
+reads a field's text through its declaration, and `resolve_experiment`
+reads every field so, so a section or key that no field declares is an
+error too. Parse errors carry line numbers; value errors carry the
+``section.key`` path.
 """
 
 import dataclasses
@@ -25,7 +25,6 @@ import typing
 from .embeddings import CORRELATION_KINDS
 from .errors import ConfigError, ParseError
 from .numerics import ACTIVATION_KINDS
-from .training import TrainConfig, setting
 
 
 def parse_config(text):
@@ -80,12 +79,47 @@ NEIGHBORHOOD_NAMES = ("ball_query", "knn")
 SWEEP_CORRELATIONS = ("triangular", "gaussian")  # the RBF correlations
 
 
+def setting(default, section, bound, key=None):
+    """A config field: its `[section]`, its key there when that is not the
+    field's name, and its bound. The field's type, or its elements' for a
+    list, says what the bound is: an int's minimum, a float's interval such
+    as "(0, 1]", or a str's allowed names. Each instance gets its own copy
+    of a list default."""
+    metadata = {"section": section, "key": key, "bound": bound}
+    if isinstance(default, list):
+        return dataclasses.field(default_factory=lambda: list(default), metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+class Settings:
+    """A settings type: construction checks every `setting` field, of a
+    subclass too, against its bound. A subclass whose rule spans fields
+    checks it after calling this."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if "bound" in f.metadata:
+                _check_setting(f, getattr(self, f.name))
+
+
+@dataclasses.dataclass
+class TrainConfig(Settings):
+    """The recipe's settings, declared once: `ExperimentConfig` extends it."""
+
+    epochs: int = setting(50, "training", 1)
+    batch_size: int = setting(16, "training", 1)
+    max_lr: float = setting(0.005, "training", "(0, inf)")
+    warmup_fraction: float = setting(0.3, "training", "(0, 1)")
+    weight_decay: float = setting(1e-4, "training", "[0, inf)")
+    clip_norm: float = setting(100.0, "training", "(0, inf)")
+    early_stop_oa: float = setting(None, "training", "[0, 1]")  # stop once eval OA reaches this
+
+
 @dataclasses.dataclass(kw_only=True)
-class NetworkSettings:
+class NetworkSettings(Settings):
     """The network's shape, declared once: the [network] settings an
     `ExperimentConfig` reads and a network's `EncoderConfig` is built from.
-    Construction checks every declared field, of a subclass too, against
-    its bound, then widths against blocks."""
+    Construction checks widths against blocks."""
 
     widths: list[int] = setting([16, 32, 64], "network", 1)
     blocks: list[int] = setting([1, 1, 1], "network", 0)
@@ -94,9 +128,7 @@ class NetworkSettings:
     drop_path_max: float = setting(0.0, "network", "[0, 1)")
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if "bound" in f.metadata:
-                _check_setting(f, getattr(self, f.name))
+        super().__post_init__()
         if len(self.widths) != len(self.blocks):
             raise ConfigError("widths and blocks must have equal length", key="network.blocks")
 
@@ -105,7 +137,8 @@ class NetworkSettings:
 class ExperimentConfig(TrainConfig, NetworkSettings):
     """Fully resolved benchmark configuration (defaults are desk scale). The
     [training] settings are the inherited `TrainConfig` fields, and the
-    network's shape the inherited `NetworkSettings` fields."""
+    network's shape the inherited `NetworkSettings` fields. Construction
+    checks segmentation's scene count."""
 
     task: str = setting("classification", "experiment", ("classification", "segmentation"))
     seeds: list[int] = setting([0, 1, 2], "experiment", 0)
@@ -126,6 +159,13 @@ class ExperimentConfig(TrainConfig, NetworkSettings):
                                          key="factors")
     sweep_correlations: list[str] = setting(list(SWEEP_CORRELATIONS), "sigma_sweep",
                                             SWEEP_CORRELATIONS, key="correlations")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.task == "segmentation" and self.num_scenes < 2:
+            # the 80/20 scene split needs one scene on each side
+            raise ConfigError(f"segmentation needs >= 2 scenes, got {self.num_scenes}",
+                              key="data.num_scenes")
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -188,9 +228,8 @@ def read_setting(f, text):
 def resolve_experiment(sections):
     """Build an ExperimentConfig from parsed sections: every field reads
     and checks its value as its `setting` declares, in declaration order,
-    then construction applies the rule across widths and blocks, then
-    segmentation's rule on scenes, then any undeclared section or key is an
-    error."""
+    then construction applies the rules across fields, then any undeclared
+    section or key is an error."""
     values, declared = {}, set()
     for f in dataclasses.fields(ExperimentConfig):
         section, key = f.metadata["section"], f.metadata["key"] or f.name
@@ -199,10 +238,6 @@ def resolve_experiment(sections):
         if text is not None:
             values[f.name] = read_setting(f, text)
     cfg = ExperimentConfig(**values)
-    if cfg.task == "segmentation" and cfg.num_scenes < 2:
-        # the 80/20 scene split needs one scene on each side
-        raise ConfigError(f"segmentation needs >= 2 scenes, got {cfg.num_scenes}",
-                          key="data.num_scenes")
     known = {section for section, _ in declared}
     for section, entries in sections.items():
         if section not in known:

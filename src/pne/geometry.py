@@ -303,6 +303,8 @@ def ball_query(query, support, radius, *, _trees=None):
     _check_positive("radius", radius)
     if len(support) == 0:
         raise ValueError("support cloud must be non-empty")
+    if len(query) == 0:
+        return NeighborList(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
     trees = {} if _trees is None else _trees
     query_tree, support_tree = _tree(query, trees), _tree(support, trees)
     _check_extent(query, support, trees)

@@ -3,7 +3,9 @@ learning-rate schedule, global gradient-norm clipping, cross-entropy loss,
 and confusion-matrix metrics (overall accuracy, mean class accuracy, mean
 IoU). Plus the deterministic training loop used by the benchmark harness
 and `evaluate`, which read the task from the network: its `num_classes`
-and `targets(prep)`, the labels its logits are scored against."""
+and `targets(prep)`, the labels its logits are scored against. The loop's
+settings, `TrainConfig`, are declared, parsed and checked with every other
+setting in `config`."""
 
 import csv
 from dataclasses import dataclass, field
@@ -170,31 +172,6 @@ def metrics_compute(metrics):
     return oa, macc, miou
 
 
-def setting(default, section, bound, key=None):
-    """A config field: its `[section]`, its key there when that is not the
-    field's name, and its bound. The field's type, or its elements' for a
-    list, says what the bound is: an int's minimum, a float's interval such
-    as "(0, 1]", or a str's allowed names. Each instance gets its own copy
-    of a list default."""
-    metadata = {"section": section, "key": key, "bound": bound}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=metadata)
-    return field(default=default, metadata=metadata)
-
-
-@dataclass
-class TrainConfig:
-    """The recipe's settings, declared once: `ExperimentConfig` extends it."""
-
-    epochs: int = setting(50, "training", 1)
-    batch_size: int = setting(16, "training", 1)
-    max_lr: float = setting(0.005, "training", "(0, inf)")
-    warmup_fraction: float = setting(0.3, "training", "(0, 1)")
-    weight_decay: float = setting(1e-4, "training", "[0, inf)")
-    clip_norm: float = setting(100.0, "training", "(0, inf)")
-    early_stop_oa: float = setting(None, "training", "[0, 1]")  # stop once eval OA reaches this
-
-
 def evaluate(model, samples):
     """(overall accuracy, mean class accuracy, mean IoU) of `model` on the
     prepared `samples`, against `model.targets`."""
@@ -211,9 +188,9 @@ def train_loop(model, train_set, test_set, config, seed=0, log_path=None):
 
     The model owns its task: `model.targets(prep)` gives the labels of its
     logits and `model.num_classes` sizes the metrics, so one loop trains a
-    classification or a segmentation network. `config` is a TrainConfig (an
-    ExperimentConfig is one). Logs one CSV line per epoch:
-    epoch,step,lr,train_loss,eval_oa,eval_macc,eval_miou.
+    classification or a segmentation network. `config` is a
+    `config.TrainConfig` (an ExperimentConfig is one). Logs one CSV line
+    per epoch: epoch,step,lr,train_loss,eval_oa,eval_macc,eval_miou.
     Returns (params, per-epoch log rows).
 
     A run that diverges raises TrainingFault naming the number of steps

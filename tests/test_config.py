@@ -1,15 +1,18 @@
+import dataclasses
+import typing
+
 import pytest
 
 from pne import cli
 from pne.config import (
     EMBEDDING_NAMES,
     ExperimentConfig,
+    TrainConfig,
     load_config,
     parse_config,
     resolve_experiment,
 )
 from pne.errors import ConfigError, ParseError
-from pne.training import TrainConfig
 
 
 SAMPLE = """
@@ -130,7 +133,7 @@ def test_resolve_overrides():
     assert cfg.batch_size == 16
 
 
-@pytest.mark.parametrize("text,key", [
+REJECTED = [
     ("[experiment]\ntask = regression\n", "experiment.task"),
     ("[experiment]\nseeds =\n", "experiment.seeds"),
     ("[experiment]\nseeds = 0, -1\n", "experiment.seeds"),
@@ -186,8 +189,55 @@ def test_resolve_overrides():
     ("[experiment]\nneighborhoods = ,\n", "experiment.neighborhoods"),
     ("[sigma_sweep]\nfactors =\n", "sigma_sweep.factors"),
     ("[sigma_sweep]\ncorrelations =\n", "sigma_sweep.correlations"),
-])
+]
+
+
+@pytest.mark.parametrize("text,key", REJECTED)
 def test_resolve_validation_errors(text, key):
     with pytest.raises(ConfigError) as err:
         resolve_experiment(parse_config(text))
     assert err.value.key == key
+
+
+def _typed_values(text):
+    """The values `text` sets, by field name, each converted by its field's
+    type but not checked; None when `text` names an undeclared section or
+    key or a value does not convert."""
+    declared = {(f.metadata["section"], f.metadata["key"] or f.name): f
+                for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
+    for section, entries in parse_config(text).items():
+        for key, value in entries.items():
+            f = declared.get((section, key))
+            if f is None:
+                return None
+            is_list = typing.get_origin(f.type) is list
+            kind = typing.get_args(f.type)[0] if is_list else f.type
+            items = [t.strip() for t in value.split(",") if t.strip()] if is_list else [value]
+            try:
+                converted = [kind(item) for item in items]
+            except ValueError:
+                return None
+            values[f.name] = converted if is_list else converted[0]
+    return values
+
+
+# the rows whose error is a bound or a rule across fields of declared settings
+RULE_ROWS = [(text, key) for text, key in REJECTED if _typed_values(text) is not None]
+
+
+@pytest.mark.parametrize("text,key", RULE_ROWS)
+def test_built_settings_reject_what_their_config_keys_reject(text, key):
+    """A TrainConfig (for [training] keys) or ExperimentConfig built in code
+    with values a config file is rejected for fails at construction, with a
+    ConfigError naming the same key."""
+    declaring = TrainConfig if key.startswith("training.") else ExperimentConfig
+    with pytest.raises(ConfigError) as err:
+        declaring(**_typed_values(text))
+    assert err.value.key == key
+
+
+def test_rule_rows_leave_out_only_unknown_keys_and_unparsed_values():
+    assert sorted(key for row in REJECTED if row not in RULE_ROWS for key in row[1:]) == [
+        "extra", "network.initial_cell", "network.width", "network.widths",
+        "training.drop_path_max", "training.epoch", "training.epochs"]

@@ -216,11 +216,19 @@ def test_ball_query_rejects_bad_radius(radius):
 
 
 def test_empty_query_cloud():
-    support = PointCloud(np.random.default_rng(5).uniform(-1, 1, size=(20, 3)))
+    """An empty query cloud gets an empty list from either search, against a
+    unit cloud and against one far from the origin whose extent, about
+    1e150, is in range; ball query builds no tree for it."""
+    rng = np.random.default_rng(5)
+    unit = PointCloud(rng.uniform(-1, 1, size=(20, 3)))
+    far = PointCloud(1e160 + rng.uniform(0, 1, size=(20, 3)) * 1e150)
     empty = PointCloud(np.zeros((0, 3)))
-    for nl in (knn(empty, support, 4), ball_query(empty, support, 0.5)):
-        assert nl.num_queries == 0
-        assert nl.offsets.tolist() == [0] and len(nl.indices) == 0
+    for support, radius in ((unit, 0.5), (far, 1e150)):
+        trees = {}
+        for nl in (knn(empty, support, 4), ball_query(empty, support, radius, _trees=trees)):
+            assert nl.num_queries == 0
+            assert nl.offsets.tolist() == [0] and len(nl.indices) == 0
+        assert trees == {}
 
 
 def test_ball_query_simple():

@@ -2,15 +2,20 @@
 `derandomize=True` and no example database, so a run draws the same
 examples as every other run."""
 
+import contextlib
+import io
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_bench import TINY_CFG_TEXT
+from test_config import REJECTED
 
-from pne import bench
+from pne import bench, cli
 from pne.config import EMBEDDING_NAMES, parse_config, resolve_experiment
 from pne.errors import ConfigError, DegenerateInputError, ParamFileError, ParseError
 from pne.geometry import NeighborList, PointCloud, ball_query, knn
@@ -329,3 +334,93 @@ def test_config_text_resolves_or_raises_a_config_error(text):
         return
     assert all(value for value in cfg.to_dict().values() if isinstance(value, list))
     bench.build_model(cfg, cfg.embeddings[0], cfg.neighborhoods[0], cfg.seeds[0])
+
+
+class Reached(Exception):
+    """A CLI run got past its checks to the data or the gradient check."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """The paths the CLI property draws from, all under one directory: the
+    tiny config, each rejected config row, a config with a byte-order mark,
+    one with a bad byte, a model.bin of the tiny config's first model, a
+    regular file, a directory and a missing path."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "tiny.cfg").write_text(TINY_CFG_TEXT)
+    (root / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + TINY_CFG_TEXT.encode())
+    (root / "bad_byte.cfg").write_bytes(b"[experiment]\n# caf\xe9\n")
+    configs = ["tiny.cfg", "bom.cfg", "bad_byte.cfg"]
+    for i, (text, _) in enumerate(REJECTED):
+        (root / f"rejected{i}.cfg").write_text(text)
+        configs.append(f"rejected{i}.cfg")
+    cfg = resolve_experiment(parse_config(TINY_CFG_TEXT))
+    save_params(root / "model.bin", bench.build_model(cfg, "kp:gaussian", "ball_query", 0).params())
+    (root / "file.txt").write_text("not a directory\n")
+    (root / "dir").mkdir()
+    others = ["model.bin", "file.txt", "dir", "missing", "file.txt/under", ""]
+    return {name: str(root / name) if name else name for name in configs + others}, configs
+
+
+RUN_FLAGS = ["--config", "--out", "--seeds"]
+MODEL_FLAGS = ["--embedding", "--neighborhood"]
+CLI_FLAGS = {"grid": RUN_FLAGS, "sigma-sweep": RUN_FLAGS, "neigh-stats": RUN_FLAGS,
+             "gradcheck": [], "train": RUN_FLAGS + MODEL_FLAGS,
+             "eval": ["--config", "--params"] + MODEL_FLAGS}
+# the path a command that reads the flag gets first; a drawn one replaces it
+FIRST_PATHS = {"--out": "dir", "--params": "model.bin"}
+CLI_VALUES = {
+    "--seeds": ["0", "0, 1", "x", ",", "", "-2", "3,-4", "1e3", "٣", " 1 "],
+    "--embedding": list(EMBEDDING_NAMES) + ["kp:boxx", "", "KP:BOX"],
+    "--neighborhood": ["knn", "ball_query", "ball", ""],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cli_argv_exits_0_or_2_without_a_traceback(cli_paths, data):
+    """Argv over the six commands, their flags and hostile values (bad seed
+    lists, unknown names, config files the resolver rejects or cannot
+    decode, a missing path, a directory, a regular file as --out): the CLI
+    returns 2, argparse exits with 0 or 2, or the run reaches its data or
+    the gradient check, which raise here so that nothing trains. Nothing
+    prints a traceback."""
+    paths, configs = cli_paths
+    path_values = sorted(paths.values())
+    values = dict(CLI_VALUES, **{"--config": [paths[c] for c in configs] + path_values,
+                                 "--out": path_values, "--params": path_values})
+    command = data.draw(st.sampled_from(sorted(CLI_FLAGS) + ["bogus"]))
+    own = CLI_FLAGS.get(command, [])
+    argv = [command]
+    for flag, name in FIRST_PATHS.items():
+        if flag in own:
+            argv += [flag, paths[name]]
+
+    def flag_values(flags):
+        return st.sampled_from(flags).flatmap(
+            lambda flag: st.sampled_from(values[flag]).map(lambda value: [flag, value]))
+
+    items = [flag_values(sorted(values)),
+             st.sampled_from([["-h"], ["--bogus"], ["x"], ["--seeds"]])]
+    if own:
+        items = [flag_values(own)] * 6 + items
+    for item in data.draw(st.lists(st.one_of(items), max_size=4)):
+        argv += item
+    stderr = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for owner, name in ((bench, "build_datasets"), (bench, "make_classification_dataset"),
+                            (cli, "gradient_check_report")):
+            stack.enter_context(mock.patch.object(owner, name, _reached))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        try:
+            assert cli.main(argv) == 2
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+        except Reached:
+            pass
+    assert "Traceback" not in stderr.getvalue()

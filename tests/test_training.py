@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from pne import numerics
+from pne.config import TrainConfig
 from pne.errors import ShapeError, StatisticsError, TrainingFault
 from pne.training import (
     ONECYCLE_DIV,
     AdamWState,
     Metrics,
     OneCycleSchedule,
-    TrainConfig,
     adamw_step,
     clip_grad_norm,
     cross_entropy,
