@@ -12,14 +12,15 @@ extends: `setting` names the section, the key when it is not the field's
 name, and the bound, and the annotation gives the type of the value or of
 each list element. Every settings type extends `Settings`, so
 constructing one, in code or from a file, checks each declared field
-against its bound and then the rules across its fields. `read_setting`
-reads a field's text through its declaration, and `resolve_experiment`
-reads every field so, so a section or key that no field declares is an
-error too. Parse errors carry line numbers; value errors carry the
-``section.key`` path.
+against its type and bound and then the rules across its fields.
+`read_setting` reads a field's text through its declaration, and
+`resolve_experiment` reads every field so, so a section or key that no
+field declares is an error too. Parse errors carry line numbers; value
+errors carry the ``section.key`` path.
 """
 
 import dataclasses
+import numbers
 import typing
 
 from .embeddings import CORRELATION_KINDS
@@ -93,8 +94,8 @@ def setting(default, section, bound, key=None):
 
 class Settings:
     """A settings type: construction checks every `setting` field, of a
-    subclass too, against its bound. A subclass whose rule spans fields
-    checks it after calling this."""
+    subclass too, against its type and bound. A subclass whose rule spans
+    fields checks it after calling this."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -190,17 +191,27 @@ def _item_type(f):
     return f.type, False
 
 
+# what each annotated type admits: an int is a number, a bool neither
+_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+           str: (str, "a string")}
+
+
 def _check_setting(f, value):
-    """`value`, a typed value of the `setting` field `f`, checked against the
-    field's bound: every item of a list, which needs at least one. A field
-    whose default is None may be None."""
+    """`value`, a value of the `setting` field `f`, checked against the
+    field's type and bound: every item of a list, which needs at least one.
+    A field whose default is None may be None."""
     kind, is_list = _item_type(f)
     path, bound = _path(f), f.metadata["bound"]
+    if is_list and not isinstance(value, list):
+        raise ConfigError(f"must be a list, got {value!r}", key=path)
     if is_list and not value:
         raise ConfigError("need at least one value", key=path)
+    admits, noun = _ADMITS[kind]
     for item in value if is_list else [value]:
         if item is None and f.default is None:
             continue
+        if isinstance(item, bool) or not isinstance(item, admits):
+            raise ConfigError(f"must be {noun}, got {item!r}", key=path)
         if kind is int and not item >= bound:
             raise ConfigError(f"must be >= {bound}, got {item}", key=path)
         if kind is float and not _within(item, bound):

@@ -32,10 +32,17 @@ once per cloud, before it yields that conv's tensors: `params()` and
 `grads()` settle, and `zero_grads()` drops a pending sum without splitting
 it. A second walk finds nothing pending, and a backward after a walk goes
 into the next one. The arrays `params()` and `grads()` return are the same
-live objects throughout. Because P and kappa are read when the sum settles,
-no parameter may be written between a backward and the walk that settles
-it: the training loop, the gradient check and the benchmark call `grads()`
-before they write.
+live objects throughout.
+
+A conv also keeps the K_eff (P kappa^T) that its first training forward
+after a walk formed, reads it in every training forward up to the next walk
+and drops it there; an inference forward forms its own and leaves the kept
+one alone. So a step of B clouds forms each conv's K_eff once, not B times.
+Because the kept K_eff, and P and kappa when the sum settles, stand for the
+parameters of the whole step, no parameter may be written from a step's
+first training forward to the walk that settles it: the training loop, the
+gradient check and the benchmark call `grads()` before they write, and the
+benchmark's reset comes before the `zero_grads()` that starts each step.
 """
 
 import math
@@ -57,7 +64,8 @@ from .embeddings import (
 )
 from .errors import DegenerateInputError, MissingCacheError, ParamFileError, ShapeError
 from .geometry import PointCloud, ball_query, cell_average_subsample, knn
-from .pointconv import _backward_site, _forward_site, _split_keff, init_conv_layer, make_site
+from .pointconv import (_backward_site, _effective_kernel, _forward_site, _split_keff,
+                        init_conv_layer, make_site)
 
 
 class Module:
@@ -179,10 +187,12 @@ class ConvModule(Module):
     `memo`, which an owner sets for the span of its own forward, is the
     dict through which convs sharing a site and an embedding object embed
     the site's pairs once. `_pending` is the summed d_K_eff of the backwards
-    since the last walk, None when there were none."""
+    since the last walk, None when there were none, and `_keff` the K_eff
+    that training forwards since the last walk read, None before the first."""
 
     memo = None
     _pending = None
+    _keff = None
 
     def __init__(self, layer, site_name, levels):
         self.layer = layer
@@ -195,7 +205,10 @@ class ConvModule(Module):
 
     def forward(self, prep, features, training=False):
         site = prep.sites[self.site_name]
-        out, cache = _forward_site(self.layer, site, features, keep=training, memo=self.memo)
+        if training and self._keff is None:
+            self._keff = _effective_kernel(self.layer)
+        out, cache = _forward_site(self.layer, site, features, keep=training, memo=self.memo,
+                                   k_eff=self._keff if training else None)
         self._cache = (site, cache) if training else None
         return out
 
@@ -212,6 +225,7 @@ class ConvModule(Module):
         return g.d_features
 
     def _settle(self, keep):
+        self._keff = None
         pending, self._pending = self._pending, None
         if keep and pending is not None:
             d_kernel, d_projection = _split_keff(self.layer, pending)

@@ -21,12 +21,13 @@ support indices, Kmax the largest neighbor count. Row m lists the neighbors
 of query m and its empty slots hold 0, so they read support row 0; `slot`
 is each pair's flat position in that table. The site keeps both as
 `by_query = (table, slot)`. No output or gradient reads an empty slot
-unmasked: epad is zero there and only pair slots are gathered back. This
-needs finite conv features: a non-finite row 0 would reach every query with
-an empty slot as 0 * inf. When every query has the same count k > 0 (every
-kNN site, and any ball query that happens to), the stored pairs already are
-that table in order: `table` is the indices as (M, k), `slot` is None, epad
-is e reshaped and a per-pair row is a reshape of the padded array. Then
+unmasked: epad is zero there, `from_pairs` holds nothing in its column and
+only pair slots are gathered back into d_e. This needs finite conv
+features: a non-finite row 0 would reach every query with an empty slot as
+0 * inf. When every query has the same count k > 0 (every kNN site, and
+any ball query that happens to), the stored pairs already are that table in
+order: `table` is the indices as (M, k), `slot` is None, epad is e reshaped
+and a per-pair row is a reshape of the padded array. Then
 
     epad  = e scattered to the slots   (M, Kmax, E_raw), zero in empty slots
     fpad  = f[table]                   (M, Kmax, I)
@@ -34,9 +35,13 @@ is e reshaped and a per-pair row is a reshape of the padded array. Then
     out   = norm * (zq @ K_eff) + bias
 
 Backward runs the same chain: d_K_eff = zq^T @ (norm * upstream),
-dz = (norm * upstream) @ K_eff^T, and d_features sums (epad @ dz) at the pair
-slots onto the support points with one sparse product of T nonzeros,
-`ConvSite.from_pairs`.
+dz = (norm * upstream) @ K_eff^T, and d_features sums the padded rows of
+(epad @ dz), taken as (M * Kmax, I), onto the support points with one sparse
+product of T nonzeros, `ConvSite.from_pairs`: an (N, M * Kmax) operator with
+a 1 in the column of each pair's slot, in its support's row, and nothing in
+the column of an empty slot, so no pair rows are gathered first. Slots rise
+with the pair index, so each support point sums the same terms in the same
+order as it would over the pairs.
 
 Support side. Every support point is projected through the kernel first,
 and one sparse operator sums the pairs:
@@ -61,7 +66,11 @@ turns it into d_kernel and d_projection through P and kappa, two GEMMs that
 read only parameters. `conv_backward` splits each call's d_K_eff; a network
 conv sums the d_K_eff of every backward of an optimizer step and splits the
 sum once, when its gradients are next read (see `network`). The forward
-still forms K_eff on every call. A memo keyed by identity would be unsound:
+forms K_eff unless its caller hands one in. A network conv hands in the one
+its first training forward after a walk formed, until the next walk, so a
+training step forms it once per conv; an inference forward forms its own.
+That is sound only because no parameter is written between a step's first
+training forward and the walk. A memo that outlived the step would not be:
 the optimizer, `pne eval`, the gradient check and the benchmark's reset all
 write the parameters in place through the `params()` arrays, and nothing
 sees those writes. A memo keyed by value must compare every entry of P and
@@ -137,12 +146,16 @@ class ConvSite:
 
     @cached_property
     def from_pairs(self):
-        """(num_support, T) operator that sums per-pair rows onto their
-        support points: column t holds a single 1, in the row of pair t's
-        support."""
-        t = len(self.neighbors.indices)
-        return sparse.csc_matrix((np.ones(t), self.neighbors.indices, np.arange(t + 1)),
-                                 shape=(self.num_support, t))
+        """(num_support, M * Kmax) operator that sums the rows of a padded
+        (M, Kmax, X) array, flattened to (M * Kmax, X), onto the support
+        points: the column of pair t's slot holds a single 1, in the row of
+        pair t's support, and the columns of empty slots hold nothing."""
+        table, slot = self.by_query
+        t, width = len(self.neighbors.indices), table.size
+        # slots rise with the pair index: column s starts after the pairs in slots < s
+        indptr = np.arange(t + 1) if slot is None else np.searchsorted(slot, np.arange(width + 1))
+        return sparse.csc_matrix((np.ones(t), self.neighbors.indices, indptr),
+                                 shape=(self.num_support, width))
 
 
 def _grouped(keys, num_groups, values):
@@ -308,11 +321,12 @@ def _support_forward(site, features, s_op, k_eff):
     return s_op @ h, (s_op, features, h, k_t)
 
 
-def _forward_site(layer, site, features, keep=True, memo=None):
+def _forward_site(layer, site, features, keep=True, memo=None, k_eff=None):
     """(out, cache). The cache is what `_backward_site` reads; with
     `keep=False` it is None and no embedding derivative is formed. `memo`,
     a dict shared for one forward, lets convs that share a site and an
-    embedding object embed the site's pairs once."""
+    embedding object embed the site's pairs once. `k_eff`, when given, is
+    `_effective_kernel(layer)` formed by the caller; else it is formed here."""
     if features.shape != (site.num_support, layer.in_features):
         raise ShapeError(
             f"features must be ({site.num_support}, {layer.in_features}), got {features.shape}"
@@ -325,7 +339,9 @@ def _forward_site(layer, site, features, keep=True, memo=None):
         if memo is not None:
             memo[key] = (pairs, dact)
     contract = _support_forward if _support_side(site) else _padded_forward
-    sums, kept = contract(site, features, pairs, _effective_kernel(layer))
+    if k_eff is None:
+        k_eff = _effective_kernel(layer)
+    sums, kept = contract(site, features, pairs, k_eff)
     w = _norm_weights(site.counts)
     out = sums * w[:, None] + layer.bias
     if not keep:
@@ -341,7 +357,7 @@ def _padded_backward(site, uq, kept, with_pairs):
     slot = site.by_query[1]
     d_keff = (zq.T @ uq).reshape(r, i * uq.shape[1])           # (E_raw, I*O)
     dz = (uq @ k_eff.T).reshape(m, r, i)                       # (M, E_raw, I)
-    d_features = site.from_pairs @ _at_pairs(np.matmul(epad, dz), slot)
+    d_features = site.from_pairs @ np.matmul(epad, dz).reshape(-1, i)
     d_e = None
     if with_pairs:
         d_e = _at_pairs(np.matmul(fpad, dz.transpose(0, 2, 1)), slot)   # (T, E_raw)

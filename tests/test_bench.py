@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -354,6 +355,51 @@ def test_cli_train_eval_roundtrip(tmp_path, monkeypatch, capsys):
     assert rc == 0
     eval_line = capsys.readouterr().out.strip().splitlines()[-1]
     assert eval_line == train_line  # same params, same test split
+
+
+SEG_CFG_TEXT = """\
+[experiment]
+task = segmentation
+seeds = 0
+embeddings = kp:gaussian
+neighborhoods = ball_query
+[network]
+widths = 4, 6
+blocks = 1, 1
+initial_cell = 0.3
+embed_dim = 4
+[training]
+epochs = 1
+batch_size = 2
+[data]
+num_scenes = 3
+points = 32
+"""
+
+
+def test_cli_segmentation_grid_train_and_eval(tmp_path, monkeypatch, capsys):
+    """Segmentation through the CLI: `pne grid` reruns byte-identical, CSV
+    and sidecar, with a finite mIoU; `pne eval` of the `model.bin` that
+    `pne train` wrote prints the final eval row of its `log.csv`."""
+    monkeypatch.setenv("PNE_DETERMINISTIC", "1")
+    cfg_path = tmp_path / "seg.cfg"
+    cfg_path.write_text(SEG_CFG_TEXT)
+    runs = []
+    for run in ("a", "b"):
+        assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / run)]) == 0
+        runs.append([(tmp_path / run / name).read_bytes() for name in ("grid.csv", "grid.json")])
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["config"]["task"] == "segmentation"
+    header, row = runs[0][0].decode().splitlines()
+    assert np.isfinite(float(dict(zip(header.split(","), row.split(",")))["miou"]))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    train_line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert cli.main(["eval", "--config", str(cfg_path), "--params", str(out / "model.bin")]) == 0
+    eval_line = capsys.readouterr().out.strip().splitlines()[-1]
+    *_, last = csv.DictReader((out / "log.csv").read_text().splitlines())
+    logged = " ".join(f"{k}={float(last[f'eval_{k}']):.6f}" for k in ("oa", "macc", "miou"))
+    assert eval_line == train_line == logged
 
 
 def test_cli_eval_rejects_mismatched_params(tmp_path, monkeypatch, capsys):

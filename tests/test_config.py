@@ -1,6 +1,7 @@
 import dataclasses
 import typing
 
+import numpy as np
 import pytest
 
 from pne import cli
@@ -241,3 +242,34 @@ def test_rule_rows_leave_out_only_unknown_keys_and_unparsed_values():
     assert sorted(key for row in REJECTED if row not in RULE_ROWS for key in row[1:]) == [
         "extra", "network.initial_cell", "network.width", "network.widths",
         "training.drop_path_max", "training.epoch", "training.epochs"]
+
+
+@pytest.mark.parametrize("declaring,values,key,message", [
+    (TrainConfig, {"epochs": 2.5}, "training.epochs", "must be an integer, got 2.5"),
+    (TrainConfig, {"epochs": True}, "training.epochs", "must be an integer, got True"),
+    (TrainConfig, {"max_lr": "0.1"}, "training.max_lr", "must be a number, got '0.1'"),
+    (TrainConfig, {"max_lr": True}, "training.max_lr", "must be a number, got True"),
+    (TrainConfig, {"early_stop_oa": "1"}, "training.early_stop_oa", "must be a number, got '1'"),
+    (ExperimentConfig, {"seeds": 3}, "experiment.seeds", "must be a list, got 3"),
+    (ExperimentConfig, {"seeds": (0, 1)}, "experiment.seeds", "must be a list, got (0, 1)"),
+    (ExperimentConfig, {"seeds": [0, 1.0]}, "experiment.seeds", "must be an integer, got 1.0"),
+    (ExperimentConfig, {"widths": [4, False, 8]}, "network.widths", "must be an integer, got False"),
+    (ExperimentConfig, {"task": 1}, "experiment.task", "must be a string, got 1"),
+    (ExperimentConfig, {"embeddings": ["none", None]}, "experiment.embeddings",
+     "must be a string, got None"),
+])
+def test_built_settings_check_their_types(declaring, values, key, message):
+    """A settings object built in code with a value of the wrong type for
+    its field's annotation raises a ConfigError naming `section.key`, not a
+    bare TypeError later. A bool is neither an integer nor a number."""
+    with pytest.raises(ConfigError) as err:
+        declaring(**values)
+    assert err.value.key == key
+    assert str(err.value) == f"{key}: {message}"
+
+
+def test_an_integer_is_a_number():
+    """An int, a numpy int too, passes an int or a float field as it is."""
+    cfg = TrainConfig(epochs=np.int64(2), max_lr=1, early_stop_oa=1)
+    assert (cfg.epochs, cfg.max_lr, cfg.early_stop_oa) == (2, 1, 1)
+    assert ExperimentConfig(sweep_factors=[1, 0.5]).sweep_factors == [1, 0.5]

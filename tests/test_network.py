@@ -452,6 +452,65 @@ def test_zero_grads_drops_a_pending_sum(network, embedding, monkeypatch):
     assert snapshot(net.grads()) == snapshot(fresh.grads())
 
 
+def keff_counter(monkeypatch):
+    """Calls of `_effective_kernel`, by id of the layer, through network
+    and pointconv alike."""
+    counts = {}
+    original = pointconv._effective_kernel
+
+    def spy(layer):
+        counts[id(layer)] = counts.get(id(layer), 0) + 1
+        return original(layer)
+
+    monkeypatch.setattr(pointconv, "_effective_kernel", spy)
+    monkeypatch.setattr(pne_network, "_effective_kernel", spy)
+    return counts
+
+
+@pytest.mark.parametrize("network,embedding", SETTLE_CASES)
+@pytest.mark.parametrize("walk", ["params", "grads", "zero_grads"])
+def test_a_step_forms_each_keff_once(network, embedding, walk, monkeypatch):
+    """The 16 training forwards and backwards of a step between two walks
+    form each conv's K_eff once, and every walk drops it, so the next step
+    forms it again. An inference forward forms it on every call, in a step
+    too, and leaves the kept one as it was."""
+    net, preps, convs, _ = settle_setup(network, embedding, monkeypatch)
+    counts = keff_counter(monkeypatch)
+    net.zero_grads()
+    for i in range(16):
+        backward_on(net, preps[i % len(preps)], seed=40 + i)
+    assert [counts[id(c.layer)] for c in convs] == [1] * len(convs)
+    kept = [c._keff for c in convs]
+    net.forward(preps[0])
+    net.forward(preps[1])
+    assert [counts[id(c.layer)] for c in convs] == [3] * len(convs)
+    assert all(c._keff is k for c, k in zip(convs, kept))
+    getattr(net, walk)()
+    assert all(c._keff is None for c in convs)
+    backward_on(net, preps[2], seed=60)
+    assert [counts[id(c.layer)] for c in convs] == [4] * len(convs)
+
+
+@pytest.mark.parametrize("network,embedding", SETTLE_CASES)
+def test_a_parameter_written_after_the_walk_reaches_the_next_forward(network, embedding,
+                                                                      monkeypatch):
+    """A step writes every parameter through the `params()` arrays after
+    `grads()`, as the optimizer does. The next training forward reads the
+    written values: its logits equal, byte for byte, those of a fresh model
+    loaded with the same parameters."""
+    net, preps, _, _ = settle_setup(network, embedding, monkeypatch)
+    params = net.params()
+    net.zero_grads()
+    backward_on(net, preps[0], seed=61)
+    for p, g in zip(params.values(), net.grads().values()):
+        p -= 0.5 * g + 0.01
+    logits = net.forward(preps[1], training=True)
+    fresh = network(make_config(embedding=EmbeddingSpec(embedding, mlp_dim=4)), num_classes=3, seed=5)
+    for name, p in fresh.params().items():
+        p[...] = params[name]
+    assert logits.tobytes() == fresh.forward(preps[1], training=True).tobytes()
+
+
 # the module kinds whose backward reads a forward cache
 CACHING = (Linear, LayerNorm, ConvModule, MetaformerBlock, ClassificationNetwork)
 

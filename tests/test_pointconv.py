@@ -430,9 +430,14 @@ def test_backward_uses_the_derivative_the_forward_kept(act, monkeypatch):
 
 
 def test_from_pairs_built_once_on_first_backward():
-    """`site.from_pairs` sums pair rows onto support points: entry (n, t) is
-    1 exactly where pair t's support is n. Neither `make_site` nor a forward
-    builds it; the first backward does, and later ones reuse it."""
+    """`site.from_pairs` sums the rows of a padded (M, Kmax, X) array, taken
+    as (M * Kmax, X), onto support points: it has one column per slot,
+    entry (n, s) is 1 exactly where slot s holds a pair whose support is n,
+    and the columns of empty slots hold nothing. The d_features it gives
+    equal, byte for byte, those of the pair rows gathered first and summed
+    by a (N, T) operator. Neither `make_site` nor a forward builds it; the
+    first backward does, and later ones reuse it. On a kNN site, where
+    every row is full, the slots are the pairs."""
     layer, query, support, nl, features = random_instance(20)
     site = make_site(query, support, nl)
     assert "from_pairs" not in vars(site)
@@ -443,14 +448,34 @@ def test_from_pairs_built_once_on_first_backward():
     first = _backward_site(layer, site, up, cache)
     op = vars(site)["from_pairs"]
     assert sparse.issparse(op)
+    table, slot = site.by_query
     t = len(nl.indices)
-    want = np.zeros((len(support), t))
-    want[nl.indices, np.arange(t)] = 1.0
+    assert slot is not None and t < table.size      # ragged: some slots are empty
+    want = np.zeros((len(support), table.size))
+    want[nl.indices, slot] = 1.0
+    assert op.shape == want.shape
     assert np.array_equal(op.toarray(), want)
+    empty = np.setdiff1d(np.arange(table.size), slot)
+    assert len(empty) and not np.diff(op.indptr)[empty].any()
+    _, w, (epad, _, _, k_eff) = cache
+    m, _, r = epad.shape
+    dz = ((up * w[:, None]) @ k_eff.T).reshape(m, r, -1)
+    rows = np.matmul(epad, dz).reshape(table.size, -1)[slot]
+    assert (by_pair(site) @ rows).tobytes() == first.d_features.tobytes()
     _, cache = _forward_site(layer, site, features)
     again = _backward_site(layer, site, up, cache)
     assert site.from_pairs is op
     assert again.d_features.tobytes() == first.d_features.tobytes()
+    full = make_site(query, support, knn(query, support, 5))
+    assert full.by_query[1] is None
+    assert np.array_equal(full.from_pairs.toarray(), by_pair(full).toarray())
+
+
+def by_pair(site):
+    """The (N, T) operator whose column t holds a 1 in pair t's support row."""
+    t = len(site.neighbors.indices)
+    return sparse.csc_matrix((np.ones(t), site.neighbors.indices, np.arange(t + 1)),
+                             shape=(site.num_support, t))
 
 
 def support_side_site(neighborhood):
